@@ -16,7 +16,7 @@ from click.core import ParameterSource
 
 from .diffusion import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ConfigError, RelabError
-from .graph import DEFAULT_GAMMA
+from .graph import DEFAULT_GAMMA, DEFAULT_SPARSE_K, DENSE_NODE_LIMIT
 from .pipeline import (
     METHODS,
     STRATEGIES,
@@ -90,28 +90,69 @@ def _format_value(value):
 
 
 def _emit(ctx, summary):
-    """Print one step summary dict, honoring --quiet and --json."""
+    """Print a step summary dict, or the pipeline's list of them, honoring
+    --quiet and --json (one JSON document either way)."""
     state = ctx.obj
     if state.as_json:
         click.echo(json.dumps(summary, sort_keys=True))
         return
     if state.quiet:
         return
-    name = summary.get("step", "")
-    parts = [f"{k}={_format_value(v)}" for k, v in summary.items() if k != "step"]
-    click.echo(f"{name}: " + " ".join(parts))
+    for step in summary if isinstance(summary, list) else [summary]:
+        name = step.get("step", "")
+        parts = [f"{k}={_format_value(v)}" for k, v in step.items() if k != "step"]
+        click.echo(f"{name}: " + " ".join(parts))
 
 
-def _emit_steps(ctx, steps):
-    state = ctx.obj
-    if state.as_json:
-        click.echo(json.dumps(steps, sort_keys=True))
-        return
-    for summary in steps:
-        if not state.quiet:
-            name = summary.get("step", "")
-            parts = [f"{k}={_format_value(v)}" for k, v in summary.items() if k != "step"]
-            click.echo(f"{name}: " + " ".join(parts))
+def _options(*decorators):
+    """Bundle click options so a step's command and `pipeline` share one declaration."""
+    def apply(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+    return apply
+
+
+_WHITEN_OPTIONS = _options(
+    click.option("--eps", type=float, default=1e-10, show_default=True,
+                 help="relative eigenvalue cutoff for null directions"),
+)
+_GRAPH_OPTIONS = _options(
+    click.option("--gamma", type=float, default=DEFAULT_GAMMA, show_default=True,
+                 help="cosine-affinity exponent"),
+    click.option("--k", type=int, default=None,
+                 help=f"keep top-k neighbors per node; when omitted, all pairs up to "
+                      f"{DENSE_NODE_LIMIT} samples and k={DEFAULT_SPARSE_K} above"),
+)
+_PROPAGATE_OPTIONS = _options(
+    click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True,
+                 help="diffusion strength, 0 <= alpha < 1"),
+    click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True),
+    click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True),
+    click.option("--method", type=click.Choice(METHODS), default="diffusion",
+                 show_default=True),
+)
+# The select step's flags are three bundles because `select` and `pipeline`
+# list them in different orders. Probe destinations are ProbeConfig's fields.
+_NR_OPTION = click.option(
+    "--nr", "n_r", type=int, default=None,
+    help="reliable-set size; default 500 for 10 classes, 4000 for 100")
+_STRATEGY_OPTION = click.option(
+    "--strategy", type=click.Choice(STRATEGIES), default="small-loss", show_default=True)
+_PROBE_OPTIONS = _options(
+    click.option("--epochs", type=int, default=_PROBE_DEFAULTS.epochs, show_default=True),
+    click.option("--lr", "learning_rate", type=float,
+                 default=_PROBE_DEFAULTS.learning_rate, show_default=True),
+    click.option("--momentum", type=float, default=_PROBE_DEFAULTS.momentum,
+                 show_default=True),
+    click.option("--batch-size", type=int, default=_PROBE_DEFAULTS.batch_size,
+                 show_default=True),
+    click.option("--window", "average_window", type=int,
+                 default=_PROBE_DEFAULTS.average_window, show_default=True,
+                 help="epochs averaged for the small-loss score"),
+    click.option("--rng-seed", type=int, default=_PROBE_DEFAULTS.rng_seed,
+                 show_default=True),
+)
 
 
 @click.group(cls=ConfigGroup, name="relab")
@@ -135,8 +176,7 @@ def features():
 @features.command("whiten")
 @click.option("--in", "in_path", metavar="PATH", help="input features (RELF)")
 @click.option("--out", "out_path", metavar="PATH", help="whitened features (RELF)")
-@click.option("--eps", type=float, default=1e-10, show_default=True,
-              help="relative eigenvalue cutoff for null directions")
+@_WHITEN_OPTIONS
 @click.pass_context
 def features_whiten(ctx, in_path, out_path, eps):
     """PCA-whiten a feature file."""
@@ -151,10 +191,7 @@ def graph():
 
 @graph.command("build")
 @click.option("--features", "features_path", metavar="PATH")
-@click.option("--gamma", type=float, default=DEFAULT_GAMMA, show_default=True,
-              help="cosine-affinity exponent")
-@click.option("--k", type=int, default=None,
-              help="keep top-k neighbors per node; all pairs when omitted")
+@_GRAPH_OPTIONS
 @click.option("--out", "out_path", metavar="PATH", help="graph file (RELG)")
 @click.pass_context
 def graph_build(ctx, features_path, gamma, k, out_path):
@@ -169,12 +206,7 @@ def graph_build(ctx, features_path, gamma, k, out_path):
 @click.option("--features", "features_path", metavar="PATH",
               help="feature file (RELF), needed by --method nn")
 @click.option("--seeds", "seeds_path", metavar="PATH", help="seed labels (JSON)")
-@click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True,
-              help="diffusion strength, 0 <= alpha < 1")
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
-@click.option("--method", type=click.Choice(METHODS), default="diffusion",
-              show_default=True)
+@_PROPAGATE_OPTIONS
 @click.option("--out", "out_path", metavar="PATH", help="propagated labels (JSONL)")
 @click.pass_context
 def propagate(ctx, graph_path, features_path, seeds_path, alpha, tol, max_iter,
@@ -196,34 +228,19 @@ def propagate(ctx, graph_path, features_path, seeds_path, alpha, tol, max_iter,
               help="whitened features (RELF)")
 @click.option("--propagated", "propagated_path", metavar="PATH")
 @click.option("--seeds", "seeds_path", metavar="PATH")
-@click.option("--nr", "n_r", type=int, default=None,
-              help="reliable-set size; default 500 for 10 classes, 4000 for 100")
-@click.option("--epochs", type=int, default=_PROBE_DEFAULTS.epochs, show_default=True)
-@click.option("--lr", type=float, default=_PROBE_DEFAULTS.learning_rate,
-              show_default=True)
-@click.option("--momentum", type=float, default=_PROBE_DEFAULTS.momentum,
-              show_default=True)
-@click.option("--batch-size", type=int, default=_PROBE_DEFAULTS.batch_size,
-              show_default=True)
-@click.option("--window", type=int, default=_PROBE_DEFAULTS.average_window,
-              show_default=True, help="epochs averaged for the small-loss score")
-@click.option("--rng-seed", type=int, default=_PROBE_DEFAULTS.rng_seed,
-              show_default=True)
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="small-loss",
-              show_default=True)
+@_NR_OPTION
+@_PROBE_OPTIONS
+@_STRATEGY_OPTION
 @click.option("--out", "out_path", metavar="PATH", help="reliable set (JSONL)")
 @click.pass_context
-def select(ctx, features_path, propagated_path, seeds_path, n_r, epochs, lr,
-           momentum, batch_size, window, rng_seed, strategy, out_path):
+def select(ctx, features_path, propagated_path, seeds_path, n_r, strategy, out_path,
+           **probe):
     """Select the class-balanced reliable subset."""
     _require(features=features_path, propagated=propagated_path,
              seeds=seeds_path, out=out_path)
-    probe = ProbeConfig(epochs=epochs, learning_rate=lr, momentum=momentum,
-                        batch_size=batch_size, average_window=window,
-                        rng_seed=rng_seed)
     _emit(ctx, select_step(
         features_path, propagated_path, seeds_path, out_path,
-        n_r=n_r, strategy=strategy, probe=probe,
+        n_r=n_r, strategy=strategy, probe=ProbeConfig(**probe),
     ))
 
 
@@ -275,43 +292,24 @@ def synth(ctx, n_classes, per_class, dims, separation, rng_seed, imbalance,
 @click.option("--truth", "truth_path", metavar="PATH", default=None,
               help="when given, a report.json is written too")
 @click.option("--out-dir", metavar="DIR")
-@click.option("--eps", type=float, default=1e-10, show_default=True)
-@click.option("--gamma", type=float, default=DEFAULT_GAMMA, show_default=True)
-@click.option("--k", type=int, default=None)
-@click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
-@click.option("--method", type=click.Choice(METHODS), default="diffusion",
-              show_default=True)
-@click.option("--nr", "n_r", type=int, default=None)
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="small-loss",
-              show_default=True)
-@click.option("--epochs", type=int, default=_PROBE_DEFAULTS.epochs, show_default=True)
-@click.option("--lr", type=float, default=_PROBE_DEFAULTS.learning_rate,
-              show_default=True)
-@click.option("--momentum", type=float, default=_PROBE_DEFAULTS.momentum,
-              show_default=True)
-@click.option("--batch-size", type=int, default=_PROBE_DEFAULTS.batch_size,
-              show_default=True)
-@click.option("--window", type=int, default=_PROBE_DEFAULTS.average_window,
-              show_default=True)
-@click.option("--rng-seed", type=int, default=_PROBE_DEFAULTS.rng_seed,
-              show_default=True)
+@_WHITEN_OPTIONS
+@_GRAPH_OPTIONS
+@_PROPAGATE_OPTIONS
+@_NR_OPTION
+@_STRATEGY_OPTION
+@_PROBE_OPTIONS
 @click.pass_context
 def pipeline(ctx, features_path, seeds_path, truth_path, out_dir, eps, gamma, k,
-             alpha, tol, max_iter, method, n_r, strategy, epochs, lr, momentum,
-             batch_size, window, rng_seed):
+             alpha, tol, max_iter, method, n_r, strategy, **probe):
     """Run whiten, graph, propagate, select, and evaluate in one go."""
     _require(features=features_path, seeds=seeds_path, out_dir=out_dir)
-    probe = ProbeConfig(epochs=epochs, learning_rate=lr, momentum=momentum,
-                        batch_size=batch_size, average_window=window,
-                        rng_seed=rng_seed)
     cfg = PipelineConfig(
         features=features_path, seeds=seeds_path, out_dir=out_dir,
         truth=truth_path, eps=eps, gamma=gamma, k=k, alpha=alpha, tol=tol,
-        max_iter=max_iter, method=method, n_r=n_r, strategy=strategy, probe=probe,
+        max_iter=max_iter, method=method, n_r=n_r, strategy=strategy,
+        probe=ProbeConfig(**probe),
     )
-    _emit_steps(ctx, run_pipeline(cfg))
+    _emit(ctx, run_pipeline(cfg))
 
 
 def main(argv=None):
@@ -329,9 +327,6 @@ def main(argv=None):
     except RelabError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
-    except IndexError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3

@@ -10,13 +10,14 @@ cosine-closest seed label.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, SolverError
 from .features import l2_normalize
-from .fileio import atomic_write, dump_json_line, load_jsonl
+from .fileio import atomic_write, load_json, load_jsonl, save_jsonl
 
 DEFAULT_ALPHA = 0.99
 DEFAULT_TOL = 1e-6
@@ -60,15 +61,13 @@ class SeedLabels:
 
 @dataclass
 class DiffusionResult:
-    """Diffusion scores and their argmax decoding.
+    """Diffusion scores F and their argmax decoding.
 
-    scores is None when the result was reconstructed from a propagated
-    labels file, which stores labels and retrieval scores but not F.
     zero_rows lists samples with no diffusion mass at all (disconnected
     from every seed); they decode to class 0 by the tie rule.
     """
 
-    scores: np.ndarray | None
+    scores: np.ndarray
     labels: np.ndarray
     retrieval_score: np.ndarray
     alpha: float
@@ -78,27 +77,22 @@ class DiffusionResult:
 
 def load_seeds(path):
     """Read a seeds JSON file: {"n_classes": C, "seeds": [{"index", "class"}...]}."""
-    try:
-        with open(path, "rb") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "n_classes" not in data or "seeds" not in data:
-        raise FormatError(f"{path}: seeds file needs 'n_classes' and 'seeds' keys")
+    data = load_json(path)
+    if (not isinstance(data, dict) or type(data.get("n_classes")) is not int
+            or not isinstance(data.get("seeds"), list)):
+        raise FormatError(f"{path}: seeds file needs an integer 'n_classes' and a 'seeds' list")
     assignments = {}
     for entry in data["seeds"]:
         if not isinstance(entry, dict) or "index" not in entry or "class" not in entry:
             raise FormatError(f"{path}: each seed needs 'index' and 'class'")
         idx, cls = entry["index"], entry["class"]
-        if not isinstance(idx, int) or not isinstance(cls, int):
+        if type(idx) is not int or type(cls) is not int:
             raise FormatError(f"{path}: seed index/class must be integers")
         if idx in assignments:
             raise FormatError(f"{path}: duplicate seed index {idx}")
         assignments[idx] = cls
     try:
-        return SeedLabels(assignments=assignments, n_classes=int(data["n_classes"]))
+        return SeedLabels(assignments=assignments, n_classes=data["n_classes"])
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -183,11 +177,7 @@ def diffuse(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
         residual = max(residual, rel)
 
     zero_rows = np.flatnonzero(~F.any(axis=1)).tolist()
-    if seeds is not None:
-        labels, retrieval = estimate_labels(F, seeds)
-    else:
-        labels = np.argmax(F, axis=1)
-        retrieval = F.max(axis=1)
+    labels, retrieval = estimate_labels(F, seeds)
     return DiffusionResult(
         scores=F,
         labels=labels,
@@ -198,20 +188,21 @@ def diffuse(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
     )
 
 
-def estimate_labels(F, seeds):
+def estimate_labels(F, seeds=None):
     """Decode labels from diffusion scores: row argmax, seeds forced.
 
-    Ties go to the lowest class index; every seed sample gets its seed
-    class regardless of F. Returns (labels, retrieval_score) where the
-    retrieval score is the row maximum of F.
+    Ties go to the lowest class index; when seeds are given, every seed
+    sample gets its seed class regardless of F. Returns (labels,
+    retrieval_score) where the retrieval score is the row maximum of F.
     """
     F = np.asarray(F, dtype=np.float64)
     labels = np.argmax(F, axis=1)
     retrieval = F.max(axis=1)
-    for idx, cls in seeds.assignments.items():
-        if idx >= F.shape[0]:
-            raise DataError(f"seed index {idx} out of range for {F.shape[0]} samples")
-        labels[idx] = cls
+    if seeds is not None:
+        for idx, cls in seeds.assignments.items():
+            if idx >= F.shape[0]:
+                raise DataError(f"seed index {idx} out of range for {F.shape[0]} samples")
+            labels[idx] = cls
     return labels, retrieval
 
 
@@ -242,16 +233,15 @@ def nn_propagate(X, seeds):
 def save_propagated(path, labels, retrieval_score, seeds):
     """Write per-sample propagation records as JSON lines."""
     seed_set = set(seeds.assignments)
-    with atomic_write(path) as handle:
-        for i in range(len(labels)):
-            record = {
-                "index": i,
-                "label": int(labels[i]),
-                "retrieval_score": float(retrieval_score[i]),
-                "is_seed": i in seed_set,
-            }
-            handle.write(dump_json_line(record).encode("ascii"))
-            handle.write(b"\n")
+    save_jsonl(path, (
+        {
+            "index": i,
+            "label": int(labels[i]),
+            "retrieval_score": float(retrieval_score[i]),
+            "is_seed": i in seed_set,
+        }
+        for i in range(len(labels))
+    ))
 
 
 def load_propagated(path):
@@ -272,10 +262,13 @@ def load_propagated(path):
             seed_i = record["is_seed"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed propagation record: {record!r}") from exc
+        if (type(i) is not int or type(labels_i) is not int or type(seed_i) is not bool
+                or type(score_i) not in (int, float) or not math.isfinite(score_i)):
+            raise FormatError(f"{path}: malformed propagation record: {record!r}")
         if not 0 <= i < n or i in seen:
             raise FormatError(f"{path}: sample index {i} duplicated or out of range")
         seen.add(i)
         labels[i] = labels_i
         retrieval[i] = score_i
-        is_seed[i] = bool(seed_i)
+        is_seed[i] = seed_i
     return labels, retrieval, is_seed

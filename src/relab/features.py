@@ -7,17 +7,15 @@ graph is built, mirroring standard retrieval practice.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, FormatError
-from .fileio import atomic_write, _open_for_read
+from .fileio import HEADER, atomic_write, read_binary
 
 RELF_MAGIC = b"RELF"
 RELF_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")  # magic, version, n_samples, n_dims
 
 
 @dataclass
@@ -46,18 +44,10 @@ def load_features(path):
     whose length disagrees with the header, and DataError for non-finite
     entries.
     """
-    with _open_for_read(path) as handle:
-        raw = handle.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, n, d = _HEADER.unpack_from(raw)
-    if magic != RELF_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {RELF_MAGIC!r}")
-    if version != RELF_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    raw, n, d = read_binary(path, RELF_MAGIC, RELF_VERSION)
     if n < 1 or d < 1:
         raise FormatError(f"{path}: header declares empty matrix ({n} x {d})")
-    payload = raw[_HEADER.size:]
+    payload = raw[HEADER.size:]
     expected = n * d * 4
     if len(payload) != expected:
         raise FormatError(
@@ -80,7 +70,7 @@ def save_features(path, X):
         raise DataError("refusing to write non-finite feature values")
     n, d = X.shape
     with atomic_write(path) as handle:
-        handle.write(_HEADER.pack(RELF_MAGIC, RELF_VERSION, n, d))
+        handle.write(HEADER.pack(RELF_MAGIC, RELF_VERSION, n, d))
         handle.write(np.ascontiguousarray(X, dtype="<f4").tobytes())
 
 

@@ -2,20 +2,25 @@
 
 Binary formats (feature and graph files) live next to the code that owns
 them in :mod:`relab.features` and :mod:`relab.graph`; this module holds the
-write-temp-then-rename primitive they all share, plus readers/writers for
-the JSON truth file and JSON-lines record streams.
+write-temp-then-rename primitive and the header reader they all share, plus
+readers/writers for JSON documents and JSON-lines record streams.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import tempfile
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import FormatError
+
+# Header of both binary formats: magic, version and two counts (N and D for
+# features, n and nnz for graphs), little-endian.
+HEADER = struct.Struct("<4sIQQ")
 
 
 @contextmanager
@@ -51,6 +56,34 @@ def _open_for_read(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+def read_binary(path, magic, version):
+    """Read a whole binary file and check its header's magic and version.
+
+    Returns (raw, count_a, count_b): the file's bytes, whose payload starts
+    at raw[HEADER.size:], and the header's two counts.
+    """
+    with _open_for_read(path) as handle:
+        raw = handle.read()
+    if len(raw) < HEADER.size:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    found, found_version, count_a, count_b = HEADER.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    if found_version != version:
+        raise FormatError(f"{path}: unsupported version {found_version}")
+    return raw, count_a, count_b
+
+
+def load_json(path):
+    """Read a single JSON document."""
+    with _open_for_read(path) as handle:
+        raw = handle.read()
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def save_truth(path, labels):
     """Write ground-truth class indices as a JSON array."""
     payload = json.dumps([int(c) for c in labels]).encode("ascii")
@@ -61,29 +94,19 @@ def save_truth(path, labels):
 
 def load_truth(path):
     """Read a JSON array of class indices into an int array."""
-    with _open_for_read(path) as handle:
-        raw = handle.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+    data = load_json(path)
+    if not isinstance(data, list) or not all(type(c) is int for c in data):
         raise FormatError(f"{path}: truth file must be a JSON array of integers")
     if any(c < 0 for c in data):
         raise FormatError(f"{path}: truth file contains negative class indices")
     return np.asarray(data, dtype=np.int64)
 
 
-def dump_json_line(record):
-    """Serialize one record the way every JSON-lines writer here does."""
-    return json.dumps(record, separators=(", ", ": "))
-
-
 def save_jsonl(path, records):
     """Write an iterable of dict records as one JSON object per line."""
     with atomic_write(path) as handle:
         for record in records:
-            handle.write(dump_json_line(record).encode("ascii"))
+            handle.write(json.dumps(record).encode("ascii"))
             handle.write(b"\n")
 
 
@@ -97,7 +120,7 @@ def load_jsonl(path):
                 continue
             try:
                 records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                 raise FormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
     return records
 

@@ -9,14 +9,14 @@ an elementwise max.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, DegenerateInputError, FormatError, IsolatedNodeError
-from .fileio import atomic_write, _open_for_read
+from .errors import ConfigError, DataError, FormatError, IsolatedNodeError
+from .features import l2_normalize
+from .fileio import HEADER, atomic_write, read_binary
 
 DEFAULT_GAMMA = 3.0
 # Dense N^2 storage is kept up to this many nodes; above it the CLI defaults
@@ -26,7 +26,6 @@ DEFAULT_SPARSE_K = 50
 
 RELG_MAGIC = b"RELG"
 RELG_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")  # magic, version, n, nnz
 
 _BLOCK_ROWS = 256
 
@@ -60,17 +59,6 @@ def auto_k(n):
     return None if n <= DENSE_NODE_LIMIT else DEFAULT_SPARSE_K
 
 
-def _unit_rows(X):
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
-    zero = norms < 1e-12
-    if np.any(zero):
-        raise DegenerateInputError(
-            f"row {int(np.flatnonzero(zero)[0])} has zero norm; cosine affinity undefined"
-        )
-    return X / norms[:, None]
-
-
 def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     """Build the affinity graph over the rows of X.
 
@@ -81,7 +69,7 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     """
     if not gamma > 0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
-    V = _unit_rows(X)
+    V = l2_normalize(X)
     n = V.shape[0]
     if k is not None:
         if not 1 <= k < n:
@@ -150,7 +138,7 @@ def save_graph(path, graph):
     n = A.shape[0]
     nnz = A.nnz
     with atomic_write(path) as handle:
-        handle.write(_HEADER.pack(RELG_MAGIC, RELG_VERSION, n, nnz))
+        handle.write(HEADER.pack(RELG_MAGIC, RELG_VERSION, n, nnz))
         handle.write(A.indptr.astype("<u8").tobytes())
         handle.write(A.indices.astype("<u8").tobytes())
         handle.write(A.data.astype("<f8").tobytes())
@@ -158,19 +146,11 @@ def save_graph(path, graph):
 
 def load_graph(path):
     """Read a RELG file back into an AffinityGraph, validating its invariants."""
-    with _open_for_read(path) as handle:
-        raw = handle.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, n, nnz = _HEADER.unpack_from(raw)
-    if magic != RELG_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {RELG_MAGIC!r}")
-    if version != RELG_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    raw, n, nnz = read_binary(path, RELG_MAGIC, RELG_VERSION)
     if n < 1:
         raise FormatError(f"{path}: header declares empty graph")
     expected = (n + 1) * 8 + nnz * 8 + nnz * 8
-    body = raw[_HEADER.size:]
+    body = raw[HEADER.size:]
     if len(body) != expected:
         raise FormatError(
             f"{path}: body is {len(body)} bytes, header implies {expected}"

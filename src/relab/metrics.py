@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,22 +33,8 @@ class NoiseReport:
     origin_noise_pct: dict | None = None
 
     def to_dict(self):
-        out = {
-            "n_classes": self.n_classes,
-            "per_class_count": list(self.per_class_count),
-            "per_class_noise_pct": list(self.per_class_noise_pct),
-            "count_median": self.count_median,
-            "count_std": self.count_std,
-            "noise_median_pct": self.noise_median_pct,
-            "noise_std_pct": self.noise_std_pct,
-            "overall_noise_pct": self.overall_noise_pct,
-            "empty_classes": list(self.empty_classes),
-        }
-        if self.origin_counts is not None:
-            out["origin_counts"] = dict(self.origin_counts)
-        if self.origin_noise_pct is not None:
-            out["origin_noise_pct"] = dict(self.origin_noise_pct)
-        return out
+        """The fields in declaration order; the origin breakdown only when set."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def noise_report(predicted, truth, n_classes):
@@ -102,14 +88,14 @@ def noise_report(predicted, truth, n_classes):
 def compare_selection(rset, truth, n_classes=None):
     """Noise report for a reliable set, with a per-origin breakdown.
 
-    Raises IndexError when an entry's index falls outside the truth array.
+    Raises DataError when an entry's index falls outside the truth array.
     """
     truth = np.asarray(truth, dtype=np.int64)
     indices = rset.indices()
     labels = rset.labels()
     for idx in indices:
         if idx < 0 or idx >= truth.shape[0]:
-            raise IndexError(
+            raise DataError(
                 f"reliable entry index {idx} out of range for {truth.shape[0]} truth labels"
             )
     c = int(n_classes) if n_classes is not None else len(rset.per_class_count)

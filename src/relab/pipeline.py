@@ -16,7 +16,6 @@ from .diffusion import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    DiffusionResult,
     build_label_matrix,
     diffuse,
     load_propagated,
@@ -28,7 +27,7 @@ from .diffusion import (
 from .errors import ConfigError
 from .features import l2_normalize, load_features, pca_whiten, save_features
 from .fileio import load_truth, save_json, save_truth
-from .graph import DEFAULT_GAMMA, build_affinity, load_graph, normalize, save_graph
+from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
 from .metrics import compare_selection, noise_report
 from .selection import (
     ProbeConfig,
@@ -135,7 +134,10 @@ def whiten_step(in_path, out_path, eps=1e-10):
 
 
 def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
+    """Build and write the affinity graph; k=None applies auto_k to the sample count."""
     X = load_features(features_path)
+    if k is None:
+        k = auto_k(X.shape[0])
     graph = build_affinity(X, gamma=gamma, k=k)
     save_graph(out_path, graph)
     return {
@@ -206,11 +208,7 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
         trace = train_probe(X, labels, cfg, n_classes=seeds.n_classes)
         rset = select_reliable(trace, labels, seeds, n_r)
     else:
-        result = DiffusionResult(
-            scores=None, labels=labels, retrieval_score=retrieval,
-            alpha=0.0, residual=0.0,
-        )
-        rset = select_by_retrieval_score(result, seeds, n_r)
+        rset = select_by_retrieval_score(labels, retrieval, seeds, n_r)
     save_reliable(out_path, rset)
     return {
         "step": "select",

@@ -11,12 +11,13 @@ available as an alternative trust measure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, TrainingDivergedError
-from .fileio import atomic_write, dump_json_line, load_jsonl
+from .fileio import load_jsonl, save_jsonl
 
 ORIGIN_SEED = "seed"
 ORIGIN_BOOTSTRAPPED = "bootstrapped"
@@ -204,11 +205,11 @@ def select_reliable(trace, labels, seeds, n_r):
     )
 
 
-def select_by_retrieval_score(result, seeds, n_r):
+def select_by_retrieval_score(labels, retrieval_score, seeds, n_r):
     """Selection baseline ranking candidates by descending diffusion score."""
     return _select_balanced(
-        result.labels,
-        result.retrieval_score,
+        labels,
+        retrieval_score,
         seeds,
         n_r,
         descending=True,
@@ -218,25 +219,23 @@ def select_by_retrieval_score(result, seeds, n_r):
 
 def save_reliable(path, rset):
     """Write a reliable set as JSON lines plus a trailing summary record."""
-    with atomic_write(path) as handle:
-        for entry in rset.entries:
-            record = {
-                "index": entry.index,
-                "class": entry.label,
-                "origin": entry.origin,
-                rset.score_kind: entry.score,
-            }
-            handle.write(dump_json_line(record).encode("ascii"))
-            handle.write(b"\n")
-        summary = {
-            "summary": True,
-            "score_kind": rset.score_kind,
-            "target_per_class": rset.target_per_class,
-            "per_class_count": rset.per_class_count.tolist(),
-            "warnings": rset.warnings,
+    entries = (
+        {
+            "index": entry.index,
+            "class": entry.label,
+            "origin": entry.origin,
+            rset.score_kind: entry.score,
         }
-        handle.write(dump_json_line(summary).encode("ascii"))
-        handle.write(b"\n")
+        for entry in rset.entries
+    )
+    summary = {
+        "summary": True,
+        "score_kind": rset.score_kind,
+        "target_per_class": rset.target_per_class,
+        "per_class_count": rset.per_class_count.tolist(),
+        "warnings": rset.warnings,
+    }
+    save_jsonl(path, itertools.chain(entries, [summary]))
 
 
 def load_reliable(path):

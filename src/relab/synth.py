@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import SeedLabels
 from .errors import ConfigError, GenerationError
 
 _MIN_DIRECTION_DIST = 1e-3
@@ -101,6 +102,4 @@ def pick_seeds(truth, per_class, rng_seed=0):
         chosen = rng.choice(members, size=per_class, replace=False)
         for idx in np.sort(chosen):
             assignments[int(idx)] = cls
-    from .diffusion import SeedLabels
-
     return SeedLabels(assignments=assignments, n_classes=n_classes)

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import relab
-from relab.cli import main
+from relab.cli import cli, main
+from relab.graph import DENSE_NODE_LIMIT
 from relab.pipeline import (
     GRAPH_NAME,
     PROPAGATED_NAME,
@@ -361,3 +363,161 @@ class TestConsoleScript:
         exe = shutil.which("relab")
         assert exe is not None, "relab console script not on PATH"
         run_help(exe)
+
+
+@pytest.fixture(scope="module")
+def chained(workspace, tmp_path_factory):
+    """Every artifact of the subcommand chain, for mutating one input at a time."""
+    out = tmp_path_factory.mktemp("cli-chain")
+    run_chain(workspace, out)
+    return out
+
+
+def mutate_seeds(path, key, value):
+    doc = json.loads(path.read_text())
+    doc["seeds"][0][key] = value
+    path.write_text(json.dumps(doc))
+
+
+def mutate_propagated(path, key, value):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1][key] = value  # index True would read as 1, this record's own index
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def mutate_truth(path, _key, value):
+    labels = json.loads(path.read_text())
+    labels[1] = value
+    path.write_text(json.dumps(labels))
+
+
+MUTATE = {"seeds": mutate_seeds, "propagated": mutate_propagated, "truth": mutate_truth}
+
+
+def consumer_argv(command, files, out):
+    if command == "propagate":
+        return ["propagate", "--graph", files["graph"], "--seeds", files["seeds"],
+                "--out", out]
+    if command == "select":
+        return ["select", "--features", files["features"],
+                "--propagated", files["propagated"], "--seeds", files["seeds"],
+                "--nr", "40", "--out", out]
+    return ["evaluate", "--predicted", files["propagated"], "--truth", files["truth"],
+            "--reliable", files["reliable"], "--out", out]
+
+
+class TestStrictLoaders:
+    """Values of the wrong JSON type are format errors, never coerced or crashed on."""
+
+    @pytest.mark.parametrize("kind, key, value, commands", [
+        ("seeds", "index", True, ["propagate", "select"]),
+        ("seeds", "index", 1.5, ["propagate", "select"]),
+        ("seeds", "class", False, ["propagate", "select"]),
+        ("seeds", "class", "1", ["propagate", "select"]),
+        ("propagated", "index", True, ["select", "evaluate"]),
+        ("propagated", "index", 1.0, ["select", "evaluate"]),
+        ("propagated", "label", "one", ["select", "evaluate"]),
+        ("propagated", "label", "1", ["select", "evaluate"]),
+        ("propagated", "label", True, ["select", "evaluate"]),
+        ("propagated", "label", 1.0, ["select", "evaluate"]),
+        ("propagated", "retrieval_score", "0.5", ["select", "evaluate"]),
+        ("propagated", "retrieval_score", True, ["select", "evaluate"]),
+        ("propagated", "retrieval_score", float("nan"), ["select", "evaluate"]),
+        ("propagated", "retrieval_score", float("inf"), ["select", "evaluate"]),
+        ("propagated", "is_seed", 1, ["select", "evaluate"]),
+        ("truth", None, True, ["evaluate"]),
+        ("truth", None, 1.0, ["evaluate"]),
+    ])
+    def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
+                                kind, key, value, commands):
+        files = {
+            "features": str(chained / WHITENED_NAME),
+            "graph": str(chained / GRAPH_NAME),
+            "propagated": str(chained / PROPAGATED_NAME),
+            "reliable": str(chained / RELIABLE_NAME),
+            "seeds": str(workspace / "seeds.json"),
+            "truth": str(workspace / "truth.json"),
+        }
+        bad = tmp_path / Path(files[kind]).name
+        shutil.copyfile(files[kind], bad)
+        MUTATE[kind](bad, key, value)
+        files[kind] = str(bad)
+        for command in commands:
+            out = tmp_path / f"{command}.out"
+            assert main(consumer_argv(command, files, str(out))) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, err
+            assert not out.exists()
+
+
+def option_table(command):
+    """{flag: (default, type)} for every option of a command that is not a path."""
+    return {
+        param.opts[0]: (param.default, repr(param.type))
+        for param in command.params
+        if isinstance(param, click.Option) and param.metavar != "PATH"
+    }
+
+
+class TestCliParity:
+    @pytest.mark.parametrize("path", [
+        ("features", "whiten"), ("graph", "build"), ("propagate",), ("select",)])
+    def test_step_flags_exist_on_pipeline(self, path):
+        command = cli
+        for name in path:
+            command = command.commands[name]
+        step = option_table(command)
+        assert step
+        pipeline = option_table(cli.commands["pipeline"])
+        assert {flag: pipeline.get(flag) for flag in step} == step
+
+    @pytest.mark.parametrize("command", ["select", "pipeline"])
+    def test_config_reaches_probe_window(self, workspace, chained, tmp_path, capsys,
+                                         command):
+        cfg = tmp_path / "relab.cfg"
+        cfg.write_text("window = 61\n")
+        if command == "select":
+            argv = ["select", "--features", str(chained / WHITENED_NAME),
+                    "--propagated", str(chained / PROPAGATED_NAME),
+                    "--seeds", str(workspace / "seeds.json"), "--nr", "40",
+                    "--out", str(tmp_path / "r.jsonl")]
+        else:
+            argv = ["pipeline", "--features", str(workspace / "features.relf"),
+                    "--seeds", str(workspace / "seeds.json"), "--nr", "40",
+                    "--out-dir", str(tmp_path / "run")]
+        assert main(["--config", str(cfg)] + argv) == 2
+        assert "average_window" in capsys.readouterr().err
+
+    def test_text_pipeline_prints_one_line_per_step(self, workspace, tmp_path, capsys):
+        code = main(["pipeline",
+                     "--features", str(workspace / "features.relf"),
+                     "--seeds", str(workspace / "seeds.json"),
+                     "--truth", str(workspace / "truth.json"),
+                     "--nr", "40", "--out-dir", str(tmp_path / "run")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":", 1)[0] for line in lines] == [
+            "whiten", "graph", "propagate", "select", "evaluate"]
+
+
+class TestDefaultGraph:
+    def test_pipeline_goes_sparse_above_dense_limit(self, tmp_path, capsys):
+        n_classes, per_class, k = 3, 667, 50
+        assert main([
+            "--quiet", "synth", "--classes", str(n_classes),
+            "--per-class", str(per_class), "--dims", "8", "--separation", "6",
+            "--out-features", str(tmp_path / "f.relf"),
+            "--out-truth", str(tmp_path / "t.json"),
+            "--out-seeds", str(tmp_path / "s.json"), "--seeds-per-class", "3",
+        ]) == 0
+        code = main(["--json", "pipeline", "--strategy", "retrieval-score",
+                     "--features", str(tmp_path / "f.relf"),
+                     "--seeds", str(tmp_path / "s.json"),
+                     "--nr", "30", "--out-dir", str(tmp_path / "run")])
+        assert code == 0
+        graph = next(s for s in json.loads(capsys.readouterr().out)
+                     if s["step"] == "graph")
+        n = n_classes * per_class
+        assert graph["n"] == n == DENSE_NODE_LIMIT + 1
+        assert graph["k"] == k
+        assert graph["nnz"] <= 2 * k * n

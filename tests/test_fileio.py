@@ -86,3 +86,14 @@ def test_jsonl_rejects_malformed_line(tmp_path):
     path.write_text('{"index": 0}\nnot json\n')
     with pytest.raises(FormatError):
         load_jsonl(path)
+
+
+@pytest.mark.parametrize("load, blob", [
+    (load_truth, b"[0, \xff]"),
+    (load_jsonl, b'{"index": 0}\n\xff\n'),
+])
+def test_json_readers_reject_bytes_that_are_not_utf8(tmp_path, load, blob):
+    path = tmp_path / "bad.json"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="not valid JSON"):
+        load(path)

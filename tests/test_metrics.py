@@ -125,7 +125,7 @@ class TestCompareSelection:
     def test_entry_index_out_of_range(self):
         truth = np.array([0, 1])
         rset = rset_from([(0, 0, ORIGIN_SEED), (7, 1, ORIGIN_SEED)], [1, 1])
-        with pytest.raises(IndexError):
+        with pytest.raises(DataError):
             compare_selection(rset, truth)
 
     def test_explicit_n_classes(self):

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from relab.diffusion import DiffusionResult
 from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError
 from relab.selection import (
     ORIGIN_BOOTSTRAPPED,
@@ -188,23 +187,17 @@ class TestSelectReliable:
 
 
 class TestSelectByRetrievalScore:
-    def fake_result(self, labels, scores):
-        labels = np.asarray(labels, dtype=np.int64)
-        scores = np.asarray(scores, dtype=np.float64)
-        return DiffusionResult(scores=None, labels=labels, retrieval_score=scores,
-                               alpha=0.99, residual=0.0)
-
     def test_highest_score_wins(self):
-        result = self.fake_result([0, 0, 0, 1, 1, 1],
-                                  [0.9, 0.8, 0.95, 0.1, 0.7, 0.3])
-        rset = select_by_retrieval_score(result, seeds_of({0: 0, 3: 1}, 2), n_r=4)
+        rset = select_by_retrieval_score([0, 0, 0, 1, 1, 1],
+                                         [0.9, 0.8, 0.95, 0.1, 0.7, 0.3],
+                                         seeds_of({0: 0, 3: 1}, 2), n_r=4)
         assert sorted(rset.indices().tolist()) == [0, 2, 3, 4]
         assert rset.score_kind == "retrieval_score"
 
     def test_score_tie_prefers_lower_index(self):
-        result = self.fake_result([0, 0, 0, 1, 1, 1],
-                                  [1.0, 0.5, 0.5, 1.0, 0.2, 0.2])
-        rset = select_by_retrieval_score(result, seeds_of({0: 0, 3: 1}, 2), n_r=4)
+        rset = select_by_retrieval_score([0, 0, 0, 1, 1, 1],
+                                         [1.0, 0.5, 0.5, 1.0, 0.2, 0.2],
+                                         seeds_of({0: 0, 3: 1}, 2), n_r=4)
         assert sorted(rset.indices().tolist()) == [0, 1, 3, 4]
 
 
