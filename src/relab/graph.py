@@ -2,9 +2,17 @@
 
 The affinity between two samples is their cosine similarity clamped at zero
 and raised to a sharpening exponent (gamma, default 3), with a zero
-diagonal. Dense construction is the reference semantics; an optional top-k
-sparse mode keeps the k strongest neighbors per node and symmetrizes with
-an elementwise max.
+diagonal. Dense construction (k=None) is the reference semantics.
+
+Top-k construction keeps each node's k strongest neighbours and symmetrizes
+with an elementwise max. It never holds the N x N similarities: it computes
+them in blocks of _BLOCK_ROWS rows with one float64 GEMM each, written into
+a buffer allocated once, and selects each block _SELECT_ROWS rows at a time
+with argpartition. A row's partitioned set is already the answer when its
+k-th affinity is strictly larger than its (k+1)-th, or is zero (zeros are
+dropped). Only rows tied at a positive k-th affinity fall back to a stable
+sort, so ties keep the lowest column indices. The kept columns go straight
+into a CSR from per-row counts.
 """
 
 from __future__ import annotations
@@ -27,7 +35,12 @@ DEFAULT_SPARSE_K = 50
 RELG_MAGIC = b"RELG"
 RELG_VERSION = 1
 
+# Rows per similarity GEMM. The last bits of the affinities depend on it:
+# BLAS blocks the product by its shape, and 128-row blocks already change
+# some values, so changing it changes graph files.
 _BLOCK_ROWS = 256
+# Rows per argpartition call inside a block; the kept set does not depend on it.
+_SELECT_ROWS = 32
 
 
 @dataclass
@@ -87,28 +100,47 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
 
 
 def _topk_affinity(V, gamma, k):
+    """Directed top-k cosine^gamma rows of V, max-symmetrized.
+
+    Equal to a stable argsort of each negated row truncated to k (ties at
+    the k-th value keep the lowest column indices), then dropping zeros.
+    """
     n = V.shape[0]
-    rows = []
+    neg = np.empty((min(_BLOCK_ROWS, n), n))
+    counts = np.empty(n, dtype=np.int64)
     cols = []
     vals = []
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        sims = V[start:stop] @ V.T
-        np.clip(sims, 0.0, None, out=sims)
-        sims[np.arange(start, stop) - start, np.arange(start, stop)] = 0.0
-        for i in range(stop - start):
-            row = sims[i]
-            # Stable sort on the negated row: equal affinities keep
-            # ascending column order, so the kept set is deterministic.
-            top = np.argsort(-row, kind="stable")[:k]
-            keep = top[row[top] > 0.0]
-            rows.append(np.full(keep.size, start + i, dtype=np.int64))
-            cols.append(keep.astype(np.int64))
-            vals.append(np.power(row[keep], gamma))
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.empty(0, dtype=np.float64)
-    directed = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        block = neg[:stop - start]
+        np.matmul(V[start:stop], V.T, out=block)
+        np.clip(block, 0.0, None, out=block)
+        block[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        np.negative(block, out=block)  # ascending order = strongest first
+        for lo in range(start, stop, _SELECT_ROWS):
+            rows = block[lo - start:lo - start + _SELECT_ROWS]
+            part = np.argpartition(rows, k, axis=1)
+            top = part[:, :k]
+            kth = np.take_along_axis(rows, top, axis=1).max(axis=1)
+            after = np.take_along_axis(rows, part[:, k:k + 1], axis=1)[:, 0]
+            # The partition's set is the stable one unless the k-th value is
+            # a positive affinity shared with the (k+1)-th; such rows take
+            # the stable sort, which keeps the lowest tied columns.
+            for i in np.flatnonzero((after == kth) & (kth < 0.0)):
+                top[i] = np.argsort(rows[i], kind="stable")[:k]
+            positive = np.take_along_axis(rows, top, axis=1) < 0.0
+            # Dropped columns become n, which sorts after every kept one.
+            top = np.sort(np.where(positive, top, n), axis=1)
+            kept = top < n
+            row_counts = kept.sum(axis=1)
+            counts[lo:lo + rows.shape[0]] = row_counts
+            row_cols = top[kept]
+            cols.append(row_cols)
+            vals.append(-rows[np.repeat(np.arange(rows.shape[0]), row_counts), row_cols])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.power(np.concatenate(vals), gamma)
+    directed = sp.csr_matrix((data, np.concatenate(cols), indptr), shape=(n, n))
     return directed.maximum(directed.T).tocsr()
 
 

@@ -12,6 +12,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .diffusion import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
@@ -24,7 +26,7 @@ from .diffusion import (
     save_propagated,
     save_seeds,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .features import l2_normalize, load_features, pca_whiten, save_features
 from .fileio import load_truth, save_json, save_truth
 from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
@@ -140,10 +142,14 @@ def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
         k = auto_k(X.shape[0])
     graph = build_affinity(X, gamma=gamma, k=k)
     save_graph(out_path, graph)
+    neighbors = np.diff(graph.matrix.indptr)
     return {
         "step": "graph",
         "n": graph.n,
         "nnz": int(graph.matrix.nnz),
+        "nnz_per_row": graph.matrix.nnz / graph.n,
+        "neighbors": {"min": int(neighbors.min()), "median": float(np.median(neighbors)),
+                      "max": int(neighbors.max())},
         "gamma": gamma,
         "k": k,
         "out": str(out_path),
@@ -230,6 +236,8 @@ def evaluate_step(predicted_path, truth_path, out_path, reliable_path=None):
     """
     labels, _, _ = load_propagated(predicted_path)
     truth = load_truth(truth_path)
+    if truth.shape != labels.shape:
+        raise DataError(f"{truth_path}: {truth.size} truth labels for {labels.size} samples")
     n_classes = max(int(labels.max()), int(truth.max())) + 1
     report = noise_report(labels, truth, n_classes)
     doc = report.to_dict()

@@ -12,6 +12,7 @@ available as an alternative trust measure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,16 +249,15 @@ def load_reliable(path):
     entries = []
     for record in records[:-1]:
         try:
-            entries.append(
-                ReliableEntry(
-                    index=int(record["index"]),
-                    label=int(record["class"]),
-                    origin=str(record["origin"]),
-                    score=float(record[score_kind]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            index, label = record["index"], record["class"]
+            origin, score = record["origin"], record[score_kind]
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed entry: {record!r}") from exc
+        if (type(index) is not int or type(label) is not int or type(origin) is not str
+                or type(score) not in (int, float) or not math.isfinite(score)):
+            raise FormatError(f"{path}: malformed entry: {record!r}")
+        entries.append(ReliableEntry(index=index, label=label, origin=origin,
+                                     score=float(score)))
     return ReliableSet(
         entries=entries,
         per_class_count=np.asarray(summary["per_class_count"], dtype=np.int64),

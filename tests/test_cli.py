@@ -9,11 +9,12 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 
 import relab
 from relab.cli import cli, main
-from relab.graph import DENSE_NODE_LIMIT
+from relab.graph import DENSE_NODE_LIMIT, load_graph
 from relab.pipeline import (
     GRAPH_NAME,
     PROPAGATED_NAME,
@@ -170,6 +171,19 @@ class TestOutputModes:
         assert doc["step"] == "whiten"
         assert doc["n"] == 120
 
+    def test_json_graph_summary_counts_neighbors(self, chained, tmp_path, capsys):
+        out = tmp_path / "g.relg"
+        assert main(["--json", "graph", "build", "--k", "5",
+                     "--features", str(chained / WHITENED_NAME), "--out", str(out)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        neighbors = np.diff(load_graph(out).matrix.indptr)
+        assert doc["nnz_per_row"] == neighbors.sum() / neighbors.size == doc["nnz"] / doc["n"]
+        assert doc["neighbors"] == {"min": int(neighbors.min()),
+                                    "median": float(np.median(neighbors)),
+                                    "max": int(neighbors.max())}
+        # Every node keeps its own 5; max-symmetrization can only add.
+        assert 5 <= doc["neighbors"]["min"] <= doc["neighbors"]["median"] <= doc["neighbors"]["max"]
+
     def test_json_mode_pipeline_emits_step_list(self, workspace, tmp_path, capsys):
         code = main(["--json", "pipeline",
                      "--features", str(workspace / "features.relf"),
@@ -316,8 +330,8 @@ def relab_distribution_installed():
     return True
 
 
-def run_help(exe, env=None):
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True, env=env)
+def run_help(command, env=None):
+    proc = subprocess.run([*command, "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     # A line of the subcommand list, not just the word somewhere in the text.
     assert re.search(r"^\s+propagate\s", proc.stdout, re.MULTILINE), proc.stdout
@@ -351,7 +365,14 @@ class TestConsoleScript:
         package_parent = str(Path(relab.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(
             p for p in [package_parent, os.environ.get("PYTHONPATH", "")] if p)
-        run_help(exe, env={**os.environ, "PATH": path, "PYTHONPATH": pythonpath})
+        run_help([exe], env={**os.environ, "PATH": path, "PYTHONPATH": pythonpath})
+
+    def test_python_dash_m(self):
+        """``python -m relab`` runs the CLI from the source tree, without an install."""
+        package_parent = str(Path(relab.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            p for p in [package_parent, os.environ.get("PYTHONPATH", "")] if p)
+        run_help([sys.executable, "-m", "relab"], env={**os.environ, "PYTHONPATH": pythonpath})
 
     @pytest.mark.skipif(not relab_distribution_installed(),
                         reason="relab distribution is not installed")
@@ -362,7 +383,7 @@ class TestConsoleScript:
         assert [ep.value for ep in installed] == [declared_scripts()["relab"]]
         exe = shutil.which("relab")
         assert exe is not None, "relab console script not on PATH"
-        run_help(exe)
+        run_help([exe])
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +412,14 @@ def mutate_truth(path, _key, value):
     path.write_text(json.dumps(labels))
 
 
-MUTATE = {"seeds": mutate_seeds, "propagated": mutate_propagated, "truth": mutate_truth}
+def mutate_reliable(path, key, value):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[0][key] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+MUTATE = {"seeds": mutate_seeds, "propagated": mutate_propagated, "truth": mutate_truth,
+          "reliable": mutate_reliable}
 
 
 def consumer_argv(command, files, out):
@@ -427,6 +455,17 @@ class TestStrictLoaders:
         ("propagated", "is_seed", 1, ["select", "evaluate"]),
         ("truth", None, True, ["evaluate"]),
         ("truth", None, 1.0, ["evaluate"]),
+        ("reliable", "index", 26.7, ["evaluate"]),
+        ("reliable", "index", True, ["evaluate"]),
+        ("reliable", "index", "1", ["evaluate"]),
+        ("reliable", "class", 1.0, ["evaluate"]),
+        ("reliable", "class", False, ["evaluate"]),
+        ("reliable", "origin", 5, ["evaluate"]),
+        ("reliable", "origin", None, ["evaluate"]),
+        ("reliable", "avg_loss", "0.5", ["evaluate"]),
+        ("reliable", "avg_loss", True, ["evaluate"]),
+        ("reliable", "avg_loss", float("nan"), ["evaluate"]),
+        ("reliable", "avg_loss", float("inf"), ["evaluate"]),
     ])
     def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands):
@@ -448,6 +487,19 @@ class TestStrictLoaders:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
             assert not out.exists()
+
+    @pytest.mark.parametrize("truth", [[], "one extra"])
+    def test_truth_length_mismatch_exits_3(self, workspace, chained, tmp_path, capsys,
+                                           truth):
+        labels = json.loads((workspace / "truth.json").read_text())
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps([] if truth == [] else labels + [0]))
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--predicted", str(chained / PROPAGATED_NAME),
+                     "--truth", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert not out.exists()
 
 
 def option_table(command):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError, IsolatedNodeError
+from relab.features import l2_normalize
 from relab.graph import (
     AffinityGraph,
     auto_k,
@@ -121,6 +122,96 @@ class TestBuildAffinity:
         X = np.random.default_rng(seed).standard_normal((10, 3))
         assert np.array_equal(dense(build_affinity(X)),
                               dense(build_affinity(scale * X)))
+
+
+def oracle_topk(X, gamma, k, block_rows=256):
+    """The per-row top-k builder the blocked one replaced: a stable argsort of
+    every negated row, so ties at the k-th value keep the lowest columns."""
+    V = l2_normalize(X)
+    n = V.shape[0]
+    rows, cols, vals = [], [], []
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        sims = V[start:stop] @ V.T
+        np.clip(sims, 0.0, None, out=sims)
+        sims[np.arange(start, stop) - start, np.arange(start, stop)] = 0.0
+        for i in range(stop - start):
+            row = sims[i]
+            top = np.argsort(-row, kind="stable")[:k]
+            keep = top[row[top] > 0.0]
+            rows.append(np.full(keep.size, start + i, dtype=np.int64))
+            cols.append(keep.astype(np.int64))
+            vals.append(np.power(row[keep], gamma))
+    directed = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    matrix = directed.maximum(directed.T).tocsr()
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def tied_rows(X, k):
+    """Rows whose k-th and (k+1)-th strongest affinities are equal and positive."""
+    V = l2_normalize(X)
+    sims = np.clip(V @ V.T, 0.0, None)
+    np.fill_diagonal(sims, 0.0)
+    ranked = -np.sort(-sims, axis=1)
+    return int(np.sum((ranked[:, k - 1] == ranked[:, k]) & (ranked[:, k - 1] > 0.0)))
+
+
+def integer_directions(n, seed):
+    """3-D integer points: many rows share a direction exactly, so ties abound."""
+    X = np.round(2.0 * np.random.default_rng(seed).standard_normal((n, 3)))
+    X[~X.any(axis=1)] = 1.0
+    return X
+
+
+TOPK_INPUTS = {
+    "duplicated_rows": lambda: np.repeat(
+        np.random.default_rng(1).standard_normal((200, 8)), 3, axis=0),
+    "integer_3d": lambda: integer_directions(2000, seed=2),
+    # Ten orthogonal directions: each row has about 30 positive neighbours,
+    # fewer than k=50, and zero affinity to every other row.
+    "one_hot": lambda: np.eye(10)[np.random.default_rng(3).integers(0, 10, 300)],
+    "one_block": lambda: np.random.default_rng(4).standard_normal((37, 5)),
+    "blocks_and_remainder": lambda: np.random.default_rng(5).standard_normal((3001, 16)),
+}
+
+
+class TestTopkMatchesOracle:
+    @pytest.mark.parametrize("name", sorted(TOPK_INPUTS))
+    def test_bitwise_equal_to_per_row_argsort(self, name):
+        X = TOPK_INPUTS[name]()
+        n = X.shape[0]
+        for k in sorted({1, 5, 50, n - 1} & set(range(1, n))):
+            got = build_affinity(X, gamma=3.0, k=k).matrix
+            assert_same_csr(got, oracle_topk(X, 3.0, k))
+
+    def test_inputs_reach_the_tie_and_zero_paths(self):
+        assert tied_rows(TOPK_INPUTS["integer_3d"](), 50) > 1000
+        assert tied_rows(TOPK_INPUTS["duplicated_rows"](), 1) == 600
+        X = TOPK_INPUTS["one_hot"]()
+        assert (X @ X.T - np.eye(len(X))).sum(axis=1).max() < 50
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=2, max_value=300),
+           k_fraction=st.floats(min_value=0.0, max_value=1.0),
+           gamma=st.sampled_from([1.0, 3.0]),
+           tied=st.booleans())
+    def test_bitwise_property(self, seed, n, k_fraction, gamma, tied):
+        rng = np.random.default_rng(seed)
+        X = integer_directions(n, seed) if tied else rng.standard_normal((n, 4))
+        k = 1 + int(k_fraction * (n - 2))
+        assert_same_csr(build_affinity(X, gamma=gamma, k=k).matrix,
+                        oracle_topk(X, gamma, k))
 
 
 class TestNormalize:
