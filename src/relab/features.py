@@ -125,11 +125,16 @@ def pca_whiten(X, eps=1e-10):
 def l2_normalize(X):
     """Scale every row to unit Euclidean norm.
 
-    Raises DegenerateInputError naming the first row whose norm is below
-    1e-12.
+    Raises DataError naming the first row whose norm is not finite (a NaN
+    or infinite entry, or an overflowing sum of squares), and
+    DegenerateInputError naming the first row whose norm is below 1e-12.
     """
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=1)
+    bad = ~np.isfinite(norms)
+    if np.any(bad):
+        raise DataError(f"row {int(np.flatnonzero(bad)[0])} has a non-finite norm; "
+                        "cannot normalize")
     tiny = norms < 1e-12
     if np.any(tiny):
         raise DegenerateInputError(

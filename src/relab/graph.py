@@ -2,17 +2,19 @@
 
 The affinity between two samples is their cosine similarity clamped at zero
 and raised to a sharpening exponent (gamma, default 3), with a zero
-diagonal. Dense construction (k=None) is the reference semantics.
+diagonal. Each node keeps its k strongest neighbours and the graph is
+symmetrized with an elementwise max; k=None keeps every neighbour with a
+positive affinity, which is the dense graph.
 
-Top-k construction keeps each node's k strongest neighbours and symmetrizes
-with an elementwise max. It never holds the N x N similarities: it computes
-them in blocks of _BLOCK_ROWS rows with one float64 GEMM each, written into
-a buffer allocated once, and selects each block _SELECT_ROWS rows at a time
-with argpartition. A row's partitioned set is already the answer when its
-k-th affinity is strictly larger than its (k+1)-th, or is zero (zeros are
-dropped). Only rows tied at a positive k-th affinity fall back to a stable
-sort, so ties keep the lowest column indices. The kept columns go straight
-into a CSR from per-row counts.
+There is one construction for both. It never holds the N x N
+similarities: it computes them in blocks of _BLOCK_ROWS rows with one
+float64 GEMM each, written into a buffer allocated once, and selects each
+block _SELECT_ROWS rows at a time with argpartition. A row's partitioned
+set is already the answer when its k-th affinity is strictly larger than
+its (k+1)-th, or is zero (zeros are dropped). Only rows tied at a positive
+k-th affinity fall back to a stable sort, so ties keep the lowest column
+indices; at k = n - 1 every positive affinity is kept and no row ties. The
+kept columns go straight into a CSR from per-row counts.
 """
 
 from __future__ import annotations
@@ -75,27 +77,18 @@ def auto_k(n):
 def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     """Build the affinity graph over the rows of X.
 
-    Dense mode (k=None): A_ij = max(0, cos(x_i, x_j))^gamma off the
-    diagonal. Sparse mode: each node keeps its k largest affinities (ties
-    broken toward lower column index), then A is symmetrized entrywise as
-    max(A_ij, A_ji).
+    A_ij = max(0, cos(x_i, x_j))^gamma off the diagonal. Each node keeps
+    its k largest affinities (ties broken toward lower column index), then
+    A is symmetrized entrywise as max(A_ij, A_ji). k=None keeps every
+    positive affinity (the dense graph) through the same blocked loop.
     """
     if not gamma > 0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     V = l2_normalize(X)
     n = V.shape[0]
-    if k is not None:
-        if not 1 <= k < n:
-            raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
-        matrix = _topk_affinity(V, float(gamma), int(k))
-    else:
-        sims = V @ V.T
-        sims = np.maximum(sims, sims.T)  # force exact symmetry
-        np.clip(sims, 0.0, None, out=sims)
-        np.fill_diagonal(sims, 0.0)
-        matrix = sp.csr_matrix(np.power(sims, gamma))
-    matrix.sum_duplicates()
-    matrix.eliminate_zeros()
+    if k is not None and not 1 <= k < n:
+        raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
+    matrix = _topk_affinity(V, float(gamma), n - 1 if k is None else int(k))
     return AffinityGraph(n=n, matrix=matrix, gamma=float(gamma), k=k)
 
 
@@ -121,7 +114,8 @@ def _topk_affinity(V, gamma, k):
             rows = block[lo - start:lo - start + _SELECT_ROWS]
             part = np.argpartition(rows, k, axis=1)
             top = part[:, :k]
-            kth = np.take_along_axis(rows, top, axis=1).max(axis=1)
+            # initial: a one-row graph has k = 0 and keeps nothing.
+            kth = np.take_along_axis(rows, top, axis=1).max(axis=1, initial=-np.inf)
             after = np.take_along_axis(rows, part[:, k:k + 1], axis=1)[:, 0]
             # The partition's set is the stable one unless the k-th value is
             # a positive affinity shared with the (k+1)-th; such rows take
@@ -141,7 +135,8 @@ def _topk_affinity(V, gamma, k):
     np.cumsum(counts, out=indptr[1:])
     data = np.power(np.concatenate(vals), gamma)
     directed = sp.csr_matrix((data, np.concatenate(cols), indptr), shape=(n, n))
-    return directed.maximum(directed.T).tocsr()
+    # A canonical CSR: sorted, duplicate-free, and zeros (gamma underflow) dropped.
+    return directed.maximum(directed.T)
 
 
 def normalize(graph):

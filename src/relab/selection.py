@@ -239,13 +239,25 @@ def save_reliable(path, rset):
     save_jsonl(path, itertools.chain(entries, [summary]))
 
 
+def _all_int64(values):
+    """Whether every value is a JSON integer (not a bool) that fits in int64."""
+    return all(type(v) is int and -2**63 <= v < 2**63 for v in values)
+
+
 def load_reliable(path):
     """Read a reliable-set file back into a ReliableSet."""
     records = load_jsonl(path)
-    if not records or "summary" not in records[-1]:
+    if not records or not isinstance(records[-1], dict) or "summary" not in records[-1]:
         raise FormatError(f"{path}: missing trailing summary record")
     summary = records[-1]
     score_kind = summary.get("score_kind", "avg_loss")
+    target = summary.get("target_per_class")
+    counts = summary.get("per_class_count")
+    warnings = summary.get("warnings", [])
+    if (score_kind not in ("avg_loss", "retrieval_score") or type(target) is not int
+            or not isinstance(counts, list) or not _all_int64(counts)
+            or not isinstance(warnings, list) or not all(type(w) is str for w in warnings)):
+        raise FormatError(f"{path}: malformed summary record: {summary!r}")
     entries = []
     for record in records[:-1]:
         try:
@@ -253,15 +265,15 @@ def load_reliable(path):
             origin, score = record["origin"], record[score_kind]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed entry: {record!r}") from exc
-        if (type(index) is not int or type(label) is not int or type(origin) is not str
+        if (not _all_int64([index, label]) or type(origin) is not str
                 or type(score) not in (int, float) or not math.isfinite(score)):
             raise FormatError(f"{path}: malformed entry: {record!r}")
         entries.append(ReliableEntry(index=index, label=label, origin=origin,
                                      score=float(score)))
     return ReliableSet(
         entries=entries,
-        per_class_count=np.asarray(summary["per_class_count"], dtype=np.int64),
-        target_per_class=int(summary["target_per_class"]),
+        per_class_count=np.asarray(counts, dtype=np.int64),
+        target_per_class=target,
         score_kind=score_kind,
-        warnings=list(summary.get("warnings", [])),
+        warnings=warnings,
     )

@@ -11,9 +11,12 @@ from pathlib import Path
 import click
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import relab
 from relab.cli import cli, main
+from relab.features import save_features
 from relab.graph import DENSE_NODE_LIMIT, load_graph
 from relab.pipeline import (
     GRAPH_NAME,
@@ -414,7 +417,8 @@ def mutate_truth(path, _key, value):
 
 def mutate_reliable(path, key, value):
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[0][key] = value
+    # Summary fields live in the trailing record; entry fields in the first.
+    records[-1 if key in records[-1] else 0][key] = value
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
@@ -432,6 +436,34 @@ def consumer_argv(command, files, out):
                 "--nr", "40", "--out", out]
     return ["evaluate", "--predicted", files["propagated"], "--truth", files["truth"],
             "--reliable", files["reliable"], "--out", out]
+
+
+RELIABLE_KEYS = ["index", "class", "origin", "avg_loss", "retrieval_score", "summary",
+                 "score_kind", "target_per_class", "per_class_count", "warnings"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["avg_loss", "retrieval_score", "seed", "bootstrapped"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(RELIABLE_KEYS), children, max_size=3),
+    max_leaves=6)
+# (action, record position, key, value); the summary is the last record.
+RELIABLE_EDITS = st.tuples(
+    st.sampled_from(["set", "delete", "replace", "drop"]),
+    st.sampled_from([0, 1, -2, -1]),
+    st.sampled_from(RELIABLE_KEYS),
+    JSON_VALUES)
+
+
+def apply_edit(records, action, position, key, value):
+    if action == "drop":
+        del records[position]
+    elif action == "replace":
+        records[position] = value
+    elif isinstance(records[position], dict):
+        if action == "set":
+            records[position][key] = value
+        else:
+            records[position].pop(key, None)
 
 
 class TestStrictLoaders:
@@ -466,6 +498,17 @@ class TestStrictLoaders:
         ("reliable", "avg_loss", True, ["evaluate"]),
         ("reliable", "avg_loss", float("nan"), ["evaluate"]),
         ("reliable", "avg_loss", float("inf"), ["evaluate"]),
+        ("reliable", "index", 2**70, ["evaluate"]),
+        ("reliable", "target_per_class", 2.7, ["evaluate"]),
+        ("reliable", "target_per_class", True, ["evaluate"]),
+        ("reliable", "target_per_class", "10", ["evaluate"]),
+        ("reliable", "per_class_count", [1.9], ["evaluate"]),
+        ("reliable", "per_class_count", [True], ["evaluate"]),
+        ("reliable", "per_class_count", "ab", ["evaluate"]),
+        ("reliable", "warnings", "ab", ["evaluate"]),
+        ("reliable", "warnings", [1], ["evaluate"]),
+        ("reliable", "score_kind", "loss", ["evaluate"]),
+        ("reliable", "score_kind", None, ["evaluate"]),
     ])
     def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands):
@@ -500,6 +543,28 @@ class TestStrictLoaders:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
         assert not out.exists()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(RELIABLE_EDITS, min_size=1, max_size=3))
+    def test_mutated_reliable_file(self, chained, workspace, tmp_path, capsys, edits):
+        records = [json.loads(line)
+                   for line in (chained / RELIABLE_NAME).read_text().splitlines()]
+        for edit in edits:
+            apply_edit(records, *edit)
+        bad = tmp_path / RELIABLE_NAME
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / REPORT_NAME
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(["evaluate", "--predicted", str(chained / PROPAGATED_NAME),
+                     "--truth", str(workspace / "truth.json"),
+                     "--reliable", str(bad), "--out", str(out)])
+        assert code in (0, 3)
+        assert out.exists() == (code == 0)
+        if code == 3:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 def option_table(command):
@@ -553,6 +618,15 @@ class TestCliParity:
 
 
 class TestDefaultGraph:
+    def test_one_row_graph_is_empty(self, tmp_path, capsys):
+        save_features(tmp_path / "f.relf", np.array([[3.0, 4.0]]))
+        out = tmp_path / "g.relg"
+        assert main(["--json", "graph", "build", "--features", str(tmp_path / "f.relf"),
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["nnz"] == 0
+        graph = load_graph(out)
+        assert graph.n == 1 and graph.matrix.nnz == 0
+
     def test_pipeline_goes_sparse_above_dense_limit(self, tmp_path, capsys):
         n_classes, per_class, k = 3, 667, 50
         assert main([

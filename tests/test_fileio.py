@@ -1,10 +1,16 @@
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relab.errors import FormatError
+from relab.errors import DataError, FormatError
+from relab.features import load_features, save_features
 from relab.fileio import atomic_write, load_jsonl, load_truth, save_jsonl, save_truth
+from relab.graph import build_affinity, load_graph, save_graph
 
 
 def test_atomic_write_creates_file(tmp_path):
@@ -97,3 +103,36 @@ def test_json_readers_reject_bytes_that_are_not_utf8(tmp_path, load, blob):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="not valid JSON"):
         load(path)
+
+
+BINARY_FORMATS = {
+    "features": (save_features, load_features),
+    "graph": (lambda path, X: save_graph(path, build_affinity(X)), load_graph),
+}
+# Bytes written over a valid file: raw bytes, u64 counts or offsets, f64 values.
+PATCHES = (st.binary(min_size=1, max_size=8)
+           | st.integers(0, 2**64 - 1).map(lambda v: v.to_bytes(8, "little"))
+           | st.floats().map(lambda v: struct.pack("<d", v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(BINARY_FORMATS)),
+       patches=st.lists(st.tuples(st.integers(min_value=0), PATCHES), max_size=4),
+       resize=st.just(0) | st.integers(-16, 16))
+def test_mutated_binary_file_loads_or_raises_typed_error(kind, patches, resize):
+    save, load = BINARY_FORMATS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, kind)
+        save(path, np.random.default_rng(0).standard_normal((6, 3)))
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        for position, patch in patches:
+            position %= len(blob)
+            blob[position:position + len(patch)] = patch[:len(blob) - position]
+        blob = blob[:resize] if resize < 0 else blob + bytes(resize)
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        try:
+            load(path)
+        except (FormatError, DataError):
+            pass

@@ -81,10 +81,14 @@ class TestBuildAffinity:
         np.testing.assert_allclose(A_perm, A[np.ix_(perm, perm)], atol=1e-12)
 
     def test_topk_with_full_k_matches_dense(self, rng):
-        X = rng.standard_normal((20, 4))
-        A_dense = dense(build_affinity(X))
-        A_sparse = dense(build_affinity(X, k=19))
-        np.testing.assert_allclose(A_sparse, A_dense, atol=1e-12)
+        # The larger shapes span several 256-row GEMM blocks, whose last
+        # bits differ from those of the full-matrix product.
+        for shape in ((20, 4), (257, 512), (999, 33)):
+            X = rng.standard_normal(shape)
+            want = dense_reference(X, 3.0)
+            for k in (None, shape[0] - 1):
+                np.testing.assert_allclose(dense(build_affinity(X, k=k)), want,
+                                           rtol=0, atol=1e-12)
 
     def test_topk_keeps_at_most_k_per_row_before_symmetrization(self, rng):
         X = rng.standard_normal((25, 3))
@@ -111,6 +115,14 @@ class TestBuildAffinity:
         with pytest.raises(DegenerateInputError):
             build_affinity(X)
 
+    @pytest.mark.parametrize("k", [None, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, rng, k, bad):
+        X = rng.standard_normal((5, 3))
+        X[3, 1] = bad
+        with pytest.raises(DataError, match="row 3 "):
+            build_affinity(X, k=k)
+
     def test_auto_k_thresholds(self):
         assert auto_k(2000) is None
         assert auto_k(2001) == 50
@@ -122,6 +134,15 @@ class TestBuildAffinity:
         X = np.random.default_rng(seed).standard_normal((10, 3))
         assert np.array_equal(dense(build_affinity(X)),
                               dense(build_affinity(scale * X)))
+
+
+def dense_reference(X, gamma):
+    """The dense formula build_affinity(X) implements: clip(V V^T, 0)^gamma
+    with a zero diagonal, V the L2-normalized rows of X."""
+    V = l2_normalize(X)
+    sims = np.clip(V @ V.T, 0.0, None)
+    np.fill_diagonal(sims, 0.0)
+    return np.power(sims, gamma)
 
 
 def oracle_topk(X, gamma, k, block_rows=256):
@@ -193,6 +214,12 @@ class TestTopkMatchesOracle:
         for k in sorted({1, 5, 50, n - 1} & set(range(1, n))):
             got = build_affinity(X, gamma=3.0, k=k).matrix
             assert_same_csr(got, oracle_topk(X, 3.0, k))
+
+    @pytest.mark.parametrize("name", ["one_hot", "blocks_and_remainder"])
+    def test_dense_equals_full_k(self, name):
+        X = TOPK_INPUTS[name]()
+        assert_same_csr(build_affinity(X, gamma=3.0).matrix,
+                        oracle_topk(X, 3.0, X.shape[0] - 1))
 
     def test_inputs_reach_the_tie_and_zero_paths(self):
         assert tied_rows(TOPK_INPUTS["integer_3d"](), 50) > 1000
