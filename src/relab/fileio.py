@@ -84,6 +84,11 @@ def load_json(path):
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def all_int64(values):
+    """Whether every value is a JSON integer (not a bool) that fits in int64."""
+    return all(type(v) is int and -2**63 <= v < 2**63 for v in values)
+
+
 def save_truth(path, labels):
     """Write ground-truth class indices as a JSON array."""
     payload = json.dumps([int(c) for c in labels]).encode("ascii")
@@ -95,8 +100,8 @@ def save_truth(path, labels):
 def load_truth(path):
     """Read a JSON array of class indices into an int array."""
     data = load_json(path)
-    if not isinstance(data, list) or not all(type(c) is int for c in data):
-        raise FormatError(f"{path}: truth file must be a JSON array of integers")
+    if not isinstance(data, list) or not all_int64(data):
+        raise FormatError(f"{path}: truth file must be a JSON array of int64 integers")
     if any(c < 0 for c in data):
         raise FormatError(f"{path}: truth file contains negative class indices")
     return np.asarray(data, dtype=np.int64)

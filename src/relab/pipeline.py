@@ -172,7 +172,10 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
         Y = build_label_matrix(seeds, graph.n)
         result = diffuse(graph, Y, alpha=alpha, tol=tol, max_iter=max_iter, seeds=seeds)
         labels, retrieval = result.labels, result.retrieval_score
+        its = result.iterations
         extra = {"alpha": alpha, "residual": result.residual,
+                 "cg_iterations": {"min": int(its.min()), "median": float(np.median(its)),
+                                   "max": int(its.max())},
                  "zero_rows": len(result.zero_rows)}
     elif method == "nn":
         if features_path is None:

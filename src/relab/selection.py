@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, TrainingDivergedError
-from .fileio import load_jsonl, save_jsonl
+from .fileio import all_int64, load_jsonl, save_jsonl
 
 ORIGIN_SEED = "seed"
 ORIGIN_BOOTSTRAPPED = "bootstrapped"
@@ -53,9 +53,9 @@ class ProbeConfig:
 
 @dataclass
 class LossTrace:
-    """Per-sample cross-entropy per epoch, plus the last-window average."""
+    """Per-sample cross-entropy of each window epoch, plus their average."""
 
-    per_epoch_losses: np.ndarray  # epochs x N
+    window_losses: np.ndarray  # average_window x N
     averaged_loss: np.ndarray  # N
 
 
@@ -84,18 +84,18 @@ class ReliableSet:
         return np.array([e.label for e in self.entries], dtype=np.int64)
 
 
-def _log_softmax(Z):
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def train_probe(X, labels, cfg, n_classes=None):
     """Train a linear softmax probe with SGD+momentum; record per-sample losses.
 
-    The loss of every sample is evaluated once per epoch at epoch end over
-    the full set (no augmentation, no batch-order noise), and averaged_loss
-    is the mean over the final cfg.average_window epochs. Deterministic
-    given cfg.rng_seed: the rng drives only the batch shuffling.
+    The loss of every sample is evaluated over the full set (no
+    augmentation, no batch-order noise) at the end of each of the final
+    cfg.average_window epochs, and averaged_loss is their mean; earlier
+    epochs only train. Every epoch checks for divergence, the weights
+    before the window and the losses inside it, and raises
+    TrainingDivergedError in place of numpy's overflow warnings.
+    Deterministic given cfg.rng_seed: the rng drives only the batch
+    shuffling.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -116,30 +116,49 @@ def train_probe(X, labels, cfg, n_classes=None):
     vW = np.zeros_like(W)
     vb = np.zeros_like(b)
     rows = np.arange(n)
+    first_window_epoch = cfg.epochs - cfg.average_window
 
-    trace = np.empty((cfg.epochs, n))
+    window = np.empty((cfg.average_window, n))
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             Xb = X[batch]
-            P = np.exp(_log_softmax(Xb @ W + b))
+            # Softmax of the logits, in the logits' buffer; then its gradient.
+            Z = Xb @ W
+            Z += b
+            Z -= Z.max(axis=1, keepdims=True)
+            Z -= np.log(np.exp(Z).sum(axis=1, keepdims=True))
+            P = np.exp(Z, out=Z)
             P[np.arange(batch.size), labels[batch]] -= 1.0
             P /= batch.size
-            vW = cfg.momentum * vW - cfg.learning_rate * (Xb.T @ P)
-            vb = cfg.momentum * vb - cfg.learning_rate * P.sum(axis=0)
+            vW *= cfg.momentum
+            vW -= cfg.learning_rate * (Xb.T @ P)
+            vb *= cfg.momentum
+            vb -= cfg.learning_rate * P.sum(axis=0)
             W += vW
             b += vb
-        log_probs = _log_softmax(X @ W + b)
-        losses = -log_probs[rows, labels]
+        if epoch < first_window_epoch:
+            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+                raise TrainingDivergedError(
+                    f"non-finite weights at epoch {epoch} (learning rate too high?)"
+                )
+            continue
+        # Cross-entropy -((z_label - max) - logsumexp) without an N x C
+        # log-probability array; negating last keeps the sign of a zero loss.
+        Z = X @ W
+        Z += b
+        Z -= Z.max(axis=1, keepdims=True)
+        losses = Z[rows, labels]
+        losses -= np.log(np.exp(Z).sum(axis=1))
+        np.negative(losses, out=losses)
         if not np.all(np.isfinite(losses)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch} (learning rate too high?)"
             )
-        trace[epoch] = losses
+        window[epoch - first_window_epoch] = losses
 
-    averaged = trace[-cfg.average_window:].mean(axis=0)
-    return LossTrace(per_epoch_losses=trace, averaged_loss=averaged)
+    return LossTrace(window_losses=window, averaged_loss=window.mean(axis=0))
 
 
 def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
@@ -239,11 +258,6 @@ def save_reliable(path, rset):
     save_jsonl(path, itertools.chain(entries, [summary]))
 
 
-def _all_int64(values):
-    """Whether every value is a JSON integer (not a bool) that fits in int64."""
-    return all(type(v) is int and -2**63 <= v < 2**63 for v in values)
-
-
 def load_reliable(path):
     """Read a reliable-set file back into a ReliableSet."""
     records = load_jsonl(path)
@@ -255,7 +269,7 @@ def load_reliable(path):
     counts = summary.get("per_class_count")
     warnings = summary.get("warnings", [])
     if (score_kind not in ("avg_loss", "retrieval_score") or type(target) is not int
-            or not isinstance(counts, list) or not _all_int64(counts)
+            or not isinstance(counts, list) or not all_int64(counts)
             or not isinstance(warnings, list) or not all(type(w) is str for w in warnings)):
         raise FormatError(f"{path}: malformed summary record: {summary!r}")
     entries = []
@@ -265,7 +279,7 @@ def load_reliable(path):
             origin, score = record["origin"], record[score_kind]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed entry: {record!r}") from exc
-        if (not _all_int64([index, label]) or type(origin) is not str
+        if (not all_int64([index, label]) or type(origin) is not str
                 or type(score) not in (int, float) or not math.isfinite(score)):
             raise FormatError(f"{path}: malformed entry: {record!r}")
         entries.append(ReliableEntry(index=index, label=label, origin=origin,

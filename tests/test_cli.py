@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import relab
 from relab.cli import cli, main
 from relab.features import save_features
-from relab.graph import DENSE_NODE_LIMIT, load_graph
+from relab.diffusion import build_label_matrix, diffuse, load_seeds
+from relab.graph import DENSE_NODE_LIMIT, load_graph, normalize
 from relab.pipeline import (
     GRAPH_NAME,
     PROPAGATED_NAME,
@@ -133,6 +134,18 @@ class TestExitCodes:
                      "--out", str(out / PROPAGATED_NAME)])
         assert code == 4
 
+    def test_training_divergence(self, workspace, chained, tmp_path, capsys):
+        out = tmp_path / "reliable.jsonl"
+        code = main(["select", "--lr", "1e308",
+                     "--features", str(chained / WHITENED_NAME),
+                     "--propagated", str(chained / PROPAGATED_NAME),
+                     "--seeds", str(workspace / "seeds.json"),
+                     "--nr", "40", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg"), "synth",
                      "--out-features", "f", "--out-truth", "t"]) == 2
@@ -186,6 +199,22 @@ class TestOutputModes:
                                     "max": int(neighbors.max())}
         # Every node keeps its own 5; max-symmetrization can only add.
         assert 5 <= doc["neighbors"]["min"] <= doc["neighbors"]["median"] <= doc["neighbors"]["max"]
+
+    def test_json_propagate_summary_counts_cg_iterations(self, workspace, chained,
+                                                          tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        assert main(["--json", "propagate", "--graph", str(chained / GRAPH_NAME),
+                     "--seeds", str(workspace / "seeds.json"), "--out", str(out)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        seeds = load_seeds(workspace / "seeds.json")
+        graph = normalize(load_graph(chained / GRAPH_NAME))
+        its = diffuse(graph, build_label_matrix(seeds, graph.n), seeds=seeds).iterations
+        assert doc["cg_iterations"] == {"min": int(its.min()),
+                                        "median": float(np.median(its)),
+                                        "max": int(its.max())}
+        assert 1 <= doc["cg_iterations"]["min"]
+        # A summary figure only: the artifact matches the chain's.
+        assert out.read_bytes() == (chained / PROPAGATED_NAME).read_bytes()
 
     def test_json_mode_pipeline_emits_step_list(self, workspace, tmp_path, capsys):
         code = main(["--json", "pipeline",
@@ -509,6 +538,10 @@ class TestStrictLoaders:
         ("reliable", "warnings", [1], ["evaluate"]),
         ("reliable", "score_kind", "loss", ["evaluate"]),
         ("reliable", "score_kind", None, ["evaluate"]),
+        ("propagated", "index", 2**70, ["select", "evaluate"]),
+        ("propagated", "label", 2**70, ["select", "evaluate"]),
+        ("propagated", "label", -2**70, ["select", "evaluate"]),
+        ("truth", None, 2**70, ["evaluate"]),
     ])
     def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands):

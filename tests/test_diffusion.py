@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from relab.diffusion import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     SeedLabels,
     build_label_matrix,
     diffuse,
@@ -32,6 +34,69 @@ def dense_solve(graph, Y, alpha):
     """Direct LU oracle for (I - alpha*S) F = Y."""
     S = graph.s.toarray()
     return np.linalg.solve(np.eye(graph.n) - alpha * S, Y)
+
+
+def oracle_cg(matvec, b, tol, max_iter):
+    """The per-column conjugate gradient the block solver replaced.
+
+    Returns (x, relative_residual, iterations); x is None when max_iter was
+    exhausted before reaching tol.
+    """
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, 0.0, 0
+    r = b.copy()
+    d = r.copy()
+    rs = float(r @ r)
+    for iteration in range(1, max_iter + 1):
+        Ad = matvec(d)
+        step = rs / float(d @ Ad)
+        x = x + step * d
+        r = r - step * Ad
+        rs_next = float(r @ r)
+        if np.sqrt(rs_next) <= tol * bnorm:
+            return x, np.sqrt(rs_next) / bnorm, iteration
+        d = r + (rs_next / rs) * d
+        rs = rs_next
+    return None, np.sqrt(rs) / bnorm, max_iter
+
+
+def oracle_diffuse(graph, Y, alpha, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """One oracle_cg solve per class column, in class order.
+
+    Returns (F, iterations), or (None, (class, residual)) for the first
+    class that did not converge.
+    """
+    S = graph.s
+
+    def matvec(x):
+        return x - alpha * (S @ x)
+
+    F = np.empty_like(Y)
+    iterations = []
+    for c in range(Y.shape[1]):
+        x, rel, its = oracle_cg(matvec, Y[:, c], tol, max_iter)
+        if x is None:
+            return None, (c, rel)
+        F[:, c] = x
+        iterations.append(its)
+    return F, iterations
+
+
+def class_problem(n_classes, zero_columns=(), n=400, seed=0):
+    """A k=10 graph over random points, and 1 to 4 seeds per class.
+
+    The seed counts and positions vary by class, so the columns converge
+    at different iterations; zero_columns have no seed at all.
+    """
+    rng = np.random.default_rng(seed)
+    graph = normalize(build_affinity(rng.standard_normal((n, 8)), k=10))
+    Y = np.zeros((n, n_classes))
+    for c in range(n_classes):
+        if c not in zero_columns:
+            Y[rng.choice(n, size=1 + c % 4, replace=False), c] = 1.0
+    return graph, Y
 
 
 class TestSeedLabels:
@@ -207,6 +272,60 @@ class TestDiffuse:
         permuted = diffuse(graph_p, build_label_matrix(permuted_seeds, 30),
                            alpha=0.9, seeds=permuted_seeds).labels
         assert np.array_equal(permuted, base[perm])
+
+
+class TestBlockCGMatchesOracle:
+    """The block solver reproduces the per-column CG bitwise."""
+
+    @pytest.mark.parametrize("n_classes", [1, 16, 17, 100])
+    def test_scores_and_iterations_bitwise(self, n_classes):
+        graph, Y = class_problem(n_classes)
+        result = diffuse(graph, Y, alpha=0.99)
+        F, iterations = oracle_diffuse(graph, Y, 0.99)
+        assert result.scores.tobytes() == F.tobytes()
+        assert result.iterations.tolist() == iterations
+
+    def test_zero_columns(self):
+        # One all-zero column in each of the first two blocks.
+        graph, Y = class_problem(20, zero_columns=(3, 17))
+        result = diffuse(graph, Y, alpha=0.9)
+        F, iterations = oracle_diffuse(graph, Y, 0.9)
+        assert result.scores.tobytes() == F.tobytes()
+        assert not result.scores[:, [3, 17]].any()
+        assert result.iterations[[3, 17]].tolist() == [0, 0]
+        assert result.iterations.tolist() == iterations
+
+    def test_columns_converge_at_different_iterations(self):
+        graph, Y = class_problem(16)
+        # sqrt(degree) is S's eigenvector for eigenvalue 1, so CG solves
+        # that column in about one step while the seed columns go on.
+        Y[:, 5] = np.sqrt(graph.degrees)
+        result = diffuse(graph, Y, alpha=0.99)
+        F, iterations = oracle_diffuse(graph, Y, 0.99)
+        assert result.scores.tobytes() == F.tobytes()
+        assert result.iterations.tolist() == iterations
+        assert iterations[5] <= 2 < 10 < min(iterations[:5] + iterations[6:])
+
+    @pytest.mark.parametrize("zero_columns", [(), tuple(range(17))])
+    def test_solver_error_names_oracle_class_and_residual(self, zero_columns):
+        # With the first 17 columns empty, the failing class is 17, in the
+        # second block.
+        graph, Y = class_problem(20, zero_columns=zero_columns)
+        _, (cls, rel) = oracle_diffuse(graph, Y, 0.99, tol=1e-12, max_iter=5)
+        assert cls == (zero_columns[-1] + 1 if zero_columns else 0)
+        with pytest.raises(SolverError) as excinfo:
+            diffuse(graph, Y, alpha=0.99, tol=1e-12, max_iter=5)
+        assert excinfo.value.residual == rel
+        assert str(excinfo.value) == (
+            f"diffusion did not converge for class {cls} after 5 iterations "
+            f"(relative residual {rel:.3e})")
+
+    @pytest.mark.parametrize("n_classes", [1, 17])
+    def test_label_matrix_unchanged(self, n_classes):
+        graph, Y = class_problem(n_classes)
+        before = Y.copy()
+        diffuse(graph, Y, alpha=0.99)
+        assert Y.tobytes() == before.tobytes()
 
 
 class TestEstimateLabels:

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError
+from relab.errors import (
+    ConfigError,
+    DataError,
+    DegenerateInputError,
+    FormatError,
+    TrainingDivergedError,
+)
 from relab.selection import (
     ORIGIN_BOOTSTRAPPED,
     ORIGIN_SEED,
@@ -24,7 +30,7 @@ from conftest import seeds_of, two_cluster_features
 def trace_from(losses):
     """Single-epoch trace whose averaged loss is exactly `losses`."""
     arr = np.asarray(losses, dtype=np.float64)
-    return LossTrace(per_epoch_losses=arr[None, :], averaged_loss=arr)
+    return LossTrace(window_losses=arr[None, :], averaged_loss=arr)
 
 
 class TestProbeConfig:
@@ -55,9 +61,9 @@ class TestTrainProbe:
     def test_separable_clusters_reach_low_loss(self):
         X, y = two_cluster_features(40, 5, gap=8.0)
         trace = train_probe(X, y, ProbeConfig(epochs=30, average_window=5))
-        assert trace.per_epoch_losses.shape == (30, 80)
-        assert trace.per_epoch_losses[-1].mean() < 0.1
-        assert np.all(trace.per_epoch_losses >= 0.0)
+        assert trace.window_losses.shape == (5, 80)
+        assert trace.window_losses[-1].mean() < 0.1
+        assert np.all(trace.window_losses >= 0.0)
         assert np.all(np.isfinite(trace.averaged_loss))
 
     def test_flipped_label_has_high_loss(self):
@@ -72,7 +78,7 @@ class TestTrainProbe:
         X, y = two_cluster_features(10, 3, gap=6.0)
         trace = train_probe(X, y, ProbeConfig(epochs=8, average_window=8))
         np.testing.assert_allclose(trace.averaged_loss,
-                                   trace.per_epoch_losses.mean(axis=0),
+                                   trace.window_losses.mean(axis=0),
                                    atol=1e-12)
 
     def test_deterministic(self):
@@ -80,8 +86,26 @@ class TestTrainProbe:
         cfg = ProbeConfig(epochs=12, average_window=6, rng_seed=5)
         t1 = train_probe(X, y, cfg)
         t2 = train_probe(X, y, cfg)
-        assert t1.per_epoch_losses.tobytes() == t2.per_epoch_losses.tobytes()
+        assert t1.window_losses.tobytes() == t2.window_losses.tobytes()
         assert t1.averaged_loss.tobytes() == t2.averaged_loss.tobytes()
+
+    def test_skipped_evaluation_does_not_perturb_training(self):
+        # Epochs before the window are trained but not evaluated; a window
+        # covering every epoch must see the same last five epochs bitwise.
+        X, y = two_cluster_features(30, 6, gap=2.0)
+        short = train_probe(X, y, ProbeConfig(epochs=30, average_window=5, rng_seed=3))
+        full = train_probe(X, y, ProbeConfig(epochs=30, average_window=30, rng_seed=3))
+        assert full.window_losses.shape == (30, 60)
+        assert short.window_losses.tobytes() == full.window_losses[-5:].tobytes()
+
+    @pytest.mark.parametrize("window, check", [(1, "weights"), (5, "loss")])
+    def test_divergence_raises(self, window, check):
+        # window=1 diverges before the window (weights check), window=5
+        # inside it (loss check).
+        X, y = two_cluster_features(40, 5, gap=8.0)
+        cfg = ProbeConfig(epochs=5, average_window=window, learning_rate=1e308)
+        with pytest.raises(TrainingDivergedError, match=f"non-finite {check}"):
+            train_probe(X, y, cfg)
 
     def test_single_class_rejected(self, rng):
         X = rng.standard_normal((10, 3))
