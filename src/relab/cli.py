@@ -1,21 +1,21 @@
 """Command-line interface.
 
 Every flag can also come from a `--config` file of `key = value` lines
-(keys are the long flag names with '-' or '_' interchangeable); explicit
-flags win over config values. Exit codes: 0 success, 2 configuration
-error, 3 data or file-format error, 4 solver or training failure.
+(keys are the long flag names with '-' or '_' interchangeable). The file's
+values become click defaults, so explicit flags win over them and they
+satisfy required options. Exit codes: 0 success, 2 configuration error,
+3 data or file-format error, 4 solver or training failure.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
-from click.core import ParameterSource
 
 from .diffusion import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .errors import ConfigError, RelabError
+from .errors import RelabError
 from .graph import DEFAULT_GAMMA, DEFAULT_SPARSE_K, DENSE_NODE_LIMIT
 from .pipeline import (
     METHODS,
@@ -37,50 +37,20 @@ _PROBE_DEFAULTS = ProbeConfig()
 
 @dataclass
 class CliState:
-    config: dict = field(default_factory=dict)
     quiet: bool = False
     as_json: bool = False
 
 
-def _config_key(param):
-    for opt in param.opts:
-        if opt.startswith("--"):
-            return opt[2:].replace("-", "_")
-    return None
+def _default_map(command, config):
+    """click's default_map for `command`, nested like its command tree.
 
-
-class ConfigCommand(click.Command):
-    """Command whose unset flags are filled from the --config file."""
-
-    def invoke(self, ctx):
-        state = ctx.obj
-        if isinstance(state, CliState) and state.config:
-            for param in self.params:
-                if not isinstance(param, click.Option):
-                    continue
-                key = _config_key(param)
-                if key is None or key not in state.config:
-                    continue
-                if ctx.get_parameter_source(param.name) == ParameterSource.COMMANDLINE:
-                    continue
-                value = state.config[key]
-                if param.is_flag:
-                    ctx.params[param.name] = bool(value)
-                else:
-                    ctx.params[param.name] = param.type_cast_value(ctx, value)
-        return super().invoke(ctx)
-
-
-class ConfigGroup(click.Group):
-    command_class = ConfigCommand
-    group_class = type
-
-
-def _require(**named):
-    missing = [name for name, value in named.items() if value is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ConfigError(f"missing required option(s): {flags}")
+    Each option takes the config value whose key is its long flag, with
+    '-' read as '_'.
+    """
+    if isinstance(command, click.Group):
+        return {name: _default_map(sub, config) for name, sub in command.commands.items()}
+    return {param.name: config[key] for param in command.params for opt in param.opts
+            if (key := opt[2:].replace("-", "_")) in config}
 
 
 def _format_value(value):
@@ -132,14 +102,12 @@ _PROPAGATE_OPTIONS = _options(
     click.option("--method", type=click.Choice(METHODS), default="diffusion",
                  show_default=True),
 )
-# The select step's flags are three bundles because `select` and `pipeline`
-# list them in different orders. Probe destinations are ProbeConfig's fields.
-_NR_OPTION = click.option(
-    "--nr", "n_r", type=int, default=None,
-    help="reliable-set size; default 500 for 10 classes, 4000 for 100")
-_STRATEGY_OPTION = click.option(
-    "--strategy", type=click.Choice(STRATEGIES), default="small-loss", show_default=True)
-_PROBE_OPTIONS = _options(
+# Probe destinations are ProbeConfig's fields.
+_SELECT_OPTIONS = _options(
+    click.option("--nr", "n_r", type=int, default=None,
+                 help="reliable-set size; default 500 for 10 classes, 4000 for 100"),
+    click.option("--strategy", type=click.Choice(STRATEGIES), default="small-loss",
+                 show_default=True),
     click.option("--epochs", type=int, default=_PROBE_DEFAULTS.epochs, show_default=True),
     click.option("--lr", "learning_rate", type=float,
                  default=_PROBE_DEFAULTS.learning_rate, show_default=True),
@@ -155,7 +123,7 @@ _PROBE_OPTIONS = _options(
 )
 
 
-@click.group(cls=ConfigGroup, name="relab")
+@click.group(name="relab")
 @click.option("--config", "config_path", default=None, metavar="PATH",
               help="key = value file supplying defaults for any flag below")
 @click.option("--quiet", is_flag=True, help="suppress summary output")
@@ -164,39 +132,40 @@ _PROBE_OPTIONS = _options(
 def cli(ctx, config_path, quiet, as_json):
     """Bootstrap labels: diffuse seed labels over a feature graph, then
     select a class-balanced reliable subset by the small-loss criterion."""
-    config = load_config_file(config_path) if config_path else {}
-    ctx.obj = CliState(config=config, quiet=quiet, as_json=as_json)
+    ctx.obj = CliState(quiet=quiet, as_json=as_json)
+    if config_path:
+        # Runs before the subcommand parses its flags, so flags still win.
+        ctx.default_map = _default_map(ctx.command, load_config_file(config_path))
 
 
-@cli.group(cls=ConfigGroup)
+@cli.group()
 def features():
     """Feature-matrix operations."""
 
 
 @features.command("whiten")
-@click.option("--in", "in_path", metavar="PATH", help="input features (RELF)")
-@click.option("--out", "out_path", metavar="PATH", help="whitened features (RELF)")
+@click.option("--in", "in_path", metavar="PATH", required=True, help="input features (RELF)")
+@click.option("--out", "out_path", metavar="PATH", required=True,
+              help="whitened features (RELF)")
 @_WHITEN_OPTIONS
 @click.pass_context
 def features_whiten(ctx, in_path, out_path, eps):
     """PCA-whiten a feature file."""
-    _require(**{"in": in_path, "out": out_path})
     _emit(ctx, whiten_step(in_path, out_path, eps=eps))
 
 
-@cli.group(cls=ConfigGroup)
+@cli.group()
 def graph():
     """Affinity-graph operations."""
 
 
 @graph.command("build")
-@click.option("--features", "features_path", metavar="PATH")
+@click.option("--features", "features_path", metavar="PATH", required=True)
 @_GRAPH_OPTIONS
-@click.option("--out", "out_path", metavar="PATH", help="graph file (RELG)")
+@click.option("--out", "out_path", metavar="PATH", required=True, help="graph file (RELG)")
 @click.pass_context
 def graph_build(ctx, features_path, gamma, k, out_path):
     """Build the cosine-affinity graph over feature rows."""
-    _require(features=features_path, out=out_path)
     _emit(ctx, graph_step(features_path, out_path, gamma=gamma, k=k))
 
 
@@ -205,18 +174,15 @@ def graph_build(ctx, features_path, gamma, k, out_path):
               help="affinity graph (RELG), needed by --method diffusion")
 @click.option("--features", "features_path", metavar="PATH",
               help="feature file (RELF), needed by --method nn")
-@click.option("--seeds", "seeds_path", metavar="PATH", help="seed labels (JSON)")
+@click.option("--seeds", "seeds_path", metavar="PATH", required=True,
+              help="seed labels (JSON)")
 @_PROPAGATE_OPTIONS
-@click.option("--out", "out_path", metavar="PATH", help="propagated labels (JSONL)")
+@click.option("--out", "out_path", metavar="PATH", required=True,
+              help="propagated labels (JSONL)")
 @click.pass_context
 def propagate(ctx, graph_path, features_path, seeds_path, alpha, tol, max_iter,
               method, out_path):
     """Spread seed labels to every sample."""
-    _require(seeds=seeds_path, out=out_path)
-    if method == "diffusion":
-        _require(graph=graph_path)
-    else:
-        _require(features=features_path)
     _emit(ctx, propagate_step(
         seeds_path, out_path, graph_path=graph_path, features_path=features_path,
         alpha=alpha, tol=tol, max_iter=max_iter, method=method,
@@ -224,20 +190,16 @@ def propagate(ctx, graph_path, features_path, seeds_path, alpha, tol, max_iter,
 
 
 @cli.command()
-@click.option("--features", "features_path", metavar="PATH",
+@click.option("--features", "features_path", metavar="PATH", required=True,
               help="whitened features (RELF)")
-@click.option("--propagated", "propagated_path", metavar="PATH")
-@click.option("--seeds", "seeds_path", metavar="PATH")
-@_NR_OPTION
-@_PROBE_OPTIONS
-@_STRATEGY_OPTION
-@click.option("--out", "out_path", metavar="PATH", help="reliable set (JSONL)")
+@click.option("--propagated", "propagated_path", metavar="PATH", required=True)
+@click.option("--seeds", "seeds_path", metavar="PATH", required=True)
+@_SELECT_OPTIONS
+@click.option("--out", "out_path", metavar="PATH", required=True, help="reliable set (JSONL)")
 @click.pass_context
 def select(ctx, features_path, propagated_path, seeds_path, n_r, strategy, out_path,
            **probe):
     """Select the class-balanced reliable subset."""
-    _require(features=features_path, propagated=propagated_path,
-             seeds=seeds_path, out=out_path)
     _emit(ctx, select_step(
         features_path, propagated_path, seeds_path, out_path,
         n_r=n_r, strategy=strategy, probe=ProbeConfig(**probe),
@@ -245,16 +207,16 @@ def select(ctx, features_path, propagated_path, seeds_path, n_r, strategy, out_p
 
 
 @cli.command()
-@click.option("--predicted", "predicted_path", metavar="PATH",
+@click.option("--predicted", "predicted_path", metavar="PATH", required=True,
               help="propagated labels (JSONL)")
-@click.option("--truth", "truth_path", metavar="PATH", help="true labels (JSON)")
+@click.option("--truth", "truth_path", metavar="PATH", required=True,
+              help="true labels (JSON)")
 @click.option("--reliable", "reliable_path", metavar="PATH", default=None,
               help="also score this reliable set")
-@click.option("--out", "out_path", metavar="PATH", help="report (JSON)")
+@click.option("--out", "out_path", metavar="PATH", required=True, help="report (JSON)")
 @click.pass_context
 def evaluate(ctx, predicted_path, truth_path, reliable_path, out_path):
     """Write a per-class noise and balance report."""
-    _require(predicted=predicted_path, truth=truth_path, out=out_path)
     _emit(ctx, evaluate_step(predicted_path, truth_path, out_path,
                              reliable_path=reliable_path))
 
@@ -268,8 +230,8 @@ def evaluate(ctx, predicted_path, truth_path, reliable_path, out_path):
 @click.option("--rng-seed", type=int, default=0, show_default=True)
 @click.option("--imbalance", type=int, multiple=True,
               help="per-class counts (repeat C times); overrides --per-class")
-@click.option("--out-features", metavar="PATH")
-@click.option("--out-truth", metavar="PATH")
+@click.option("--out-features", metavar="PATH", required=True)
+@click.option("--out-truth", metavar="PATH", required=True)
 @click.option("--out-seeds", metavar="PATH", default=None,
               help="also write a seed file (needs --seeds-per-class)")
 @click.option("--seeds-per-class", type=int, default=None)
@@ -277,7 +239,6 @@ def evaluate(ctx, predicted_path, truth_path, reliable_path, out_path):
 def synth(ctx, n_classes, per_class, dims, separation, rng_seed, imbalance,
           out_features, out_truth, out_seeds, seeds_per_class):
     """Generate a labeled Gaussian-mixture fixture."""
-    _require(out_features=out_features, out_truth=out_truth)
     _emit(ctx, synth_step(
         out_features, out_truth, n_classes=n_classes, per_class=per_class,
         dims=dims, separation=separation, rng_seed=rng_seed,
@@ -287,22 +248,20 @@ def synth(ctx, n_classes, per_class, dims, separation, rng_seed, imbalance,
 
 
 @cli.command()
-@click.option("--features", "features_path", metavar="PATH", help="raw features (RELF)")
-@click.option("--seeds", "seeds_path", metavar="PATH")
+@click.option("--features", "features_path", metavar="PATH", required=True,
+              help="raw features (RELF)")
+@click.option("--seeds", "seeds_path", metavar="PATH", required=True)
 @click.option("--truth", "truth_path", metavar="PATH", default=None,
               help="when given, a report.json is written too")
-@click.option("--out-dir", metavar="DIR")
+@click.option("--out-dir", metavar="DIR", required=True)
 @_WHITEN_OPTIONS
 @_GRAPH_OPTIONS
 @_PROPAGATE_OPTIONS
-@_NR_OPTION
-@_STRATEGY_OPTION
-@_PROBE_OPTIONS
+@_SELECT_OPTIONS
 @click.pass_context
 def pipeline(ctx, features_path, seeds_path, truth_path, out_dir, eps, gamma, k,
              alpha, tol, max_iter, method, n_r, strategy, **probe):
     """Run whiten, graph, propagate, select, and evaluate in one go."""
-    _require(features=features_path, seeds=seeds_path, out_dir=out_dir)
     cfg = PipelineConfig(
         features=features_path, seeds=seeds_path, out_dir=out_dir,
         truth=truth_path, eps=eps, gamma=gamma, k=k, alpha=alpha, tol=tol,

@@ -55,6 +55,14 @@ class SeedLabels:
     def indices(self):
         return np.array(sorted(self.assignments), dtype=np.int64)
 
+    def check_fits(self, n):
+        """Raise DataError unless every seed index is below n and C <= n."""
+        top = max(self.assignments, default=-1)
+        if top >= n:
+            raise DataError(f"seed index {top} out of range for {n} samples")
+        if self.n_classes > n:
+            raise DataError(f"{self.n_classes} classes do not fit in {n} samples")
+
     def per_class_indices(self):
         """Seed indices grouped by class, ascending within each class."""
         groups = {c: [] for c in range(self.n_classes)}
@@ -84,16 +92,16 @@ class DiffusionResult:
 def load_seeds(path):
     """Read a seeds JSON file: {"n_classes": C, "seeds": [{"index", "class"}...]}."""
     data = load_json(path)
-    if (not isinstance(data, dict) or type(data.get("n_classes")) is not int
+    if (not isinstance(data, dict) or not all_int64([data.get("n_classes")])
             or not isinstance(data.get("seeds"), list)):
-        raise FormatError(f"{path}: seeds file needs an integer 'n_classes' and a 'seeds' list")
+        raise FormatError(f"{path}: seeds file needs an int64 'n_classes' and a 'seeds' list")
     assignments = {}
     for entry in data["seeds"]:
         if not isinstance(entry, dict) or "index" not in entry or "class" not in entry:
             raise FormatError(f"{path}: each seed needs 'index' and 'class'")
         idx, cls = entry["index"], entry["class"]
-        if type(idx) is not int or type(cls) is not int:
-            raise FormatError(f"{path}: seed index/class must be integers")
+        if not all_int64([idx, cls]):
+            raise FormatError(f"{path}: seed index/class must be int64 integers")
         if idx in assignments:
             raise FormatError(f"{path}: duplicate seed index {idx}")
         assignments[idx] = cls
@@ -116,10 +124,9 @@ def save_seeds(path, seeds):
 
 def build_label_matrix(seeds, n):
     """One-hot N x C matrix: row i is the seed class of sample i, else zeros."""
+    seeds.check_fits(n)
     Y = np.zeros((n, seeds.n_classes), dtype=np.float64)
     for idx, cls in seeds.assignments.items():
-        if idx >= n:
-            raise DataError(f"seed index {idx} out of range for {n} samples")
         Y[idx, cls] = 1.0
     return Y
 
@@ -248,11 +255,8 @@ def nn_propagate(X, seeds):
     if len(seeds) == 0:
         raise DegenerateInputError("nearest-neighbor propagation needs at least one seed")
     V = l2_normalize(X)
+    seeds.check_fits(V.shape[0])
     seed_idx = seeds.indices()
-    if seed_idx[-1] >= V.shape[0]:
-        raise DataError(
-            f"seed index {int(seed_idx[-1])} out of range for {V.shape[0]} samples"
-        )
     seed_cls = np.array([seeds.assignments[int(i)] for i in seed_idx], dtype=np.int64)
     sims = V @ V[seed_idx].T
     nearest = np.argmax(sims, axis=1)  # first max = lowest seed index on ties

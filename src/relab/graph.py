@@ -47,17 +47,10 @@ _SELECT_ROWS = 32
 
 @dataclass
 class AffinityGraph:
-    """Symmetric nonnegative affinity matrix with zero diagonal (CSR).
-
-    gamma and k record how the graph was built (k is None for dense
-    construction); they are construction metadata and are not stored in
-    graph files.
-    """
+    """Symmetric nonnegative affinity matrix with zero diagonal (CSR)."""
 
     n: int
     matrix: sp.csr_matrix
-    gamma: float | None = None
-    k: int | None = None
 
 
 @dataclass
@@ -89,7 +82,7 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     if k is not None and not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
     matrix = _topk_affinity(V, float(gamma), n - 1 if k is None else int(k))
-    return AffinityGraph(n=n, matrix=matrix, gamma=float(gamma), k=k)
+    return AffinityGraph(n=n, matrix=matrix)
 
 
 def _topk_affinity(V, gamma, k):

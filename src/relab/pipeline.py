@@ -164,10 +164,14 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
     method "diffusion" needs graph_path; method "nn" needs features_path
     (cosine nearest seed, no graph involved).
     """
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "diffusion" and graph_path is None:
+        raise ConfigError("diffusion propagation needs a graph file (--graph)")
+    if method == "nn" and features_path is None:
+        raise ConfigError("nearest-neighbor propagation needs a features file (--features)")
     seeds = load_seeds(seeds_path)
     if method == "diffusion":
-        if graph_path is None:
-            raise ConfigError("diffusion propagation needs a graph file")
         graph = normalize(load_graph(graph_path))
         Y = build_label_matrix(seeds, graph.n)
         result = diffuse(graph, Y, alpha=alpha, tol=tol, max_iter=max_iter, seeds=seeds)
@@ -177,14 +181,10 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
                  "cg_iterations": {"min": int(its.min()), "median": float(np.median(its)),
                                    "max": int(its.max())},
                  "zero_rows": len(result.zero_rows)}
-    elif method == "nn":
-        if features_path is None:
-            raise ConfigError("nearest-neighbor propagation needs a features file")
+    else:
         X = load_features(features_path)
         labels, retrieval = nn_propagate(X, seeds)
         extra = {}
-    else:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     save_propagated(out_path, labels, retrieval, seeds)
     return {
         "step": "propagate",
@@ -209,6 +209,7 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     seeds = load_seeds(seeds_path)
     labels, retrieval, _ = load_propagated(propagated_path)
+    seeds.check_fits(labels.shape[0])
     if n_r is None:
         n_r = default_nr(seeds.n_classes)
     if strategy == "small-loss":

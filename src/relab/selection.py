@@ -165,6 +165,7 @@ def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     n = labels.shape[0]
+    seeds.check_fits(n)
     c = seeds.n_classes
     if n_r % c != 0:
         raise ConfigError(f"n_r={n_r} is not divisible by n_classes={c}")
@@ -175,9 +176,6 @@ def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
         raise ConfigError(
             f"n_r/C={target} is below the largest per-class seed count {largest}"
         )
-    for idx in seeds.assignments:
-        if idx >= n:
-            raise DataError(f"seed index {idx} out of range for {n} samples")
 
     is_seed = np.zeros(n, dtype=bool)
     is_seed[list(seeds.assignments)] = True

@@ -265,6 +265,48 @@ class TestConfigFile:
         assert doc["n"] == 6
         assert doc["n_classes"] == 2
 
+    def test_nested_commands_read_config(self, workspace, tmp_path, capsys):
+        """`features whiten` and `graph build` take paths and tuning values from
+        the config, required paths included, and explicit flags still win."""
+        features = workspace / "features.relf"
+        whiten_cfg = tmp_path / "whiten.cfg"
+        whiten_cfg.write_text(f"in = {features}\nout = {tmp_path / 'w_cfg.relf'}\neps = 0.5\n")
+        graph_cfg = tmp_path / "graph.cfg"
+        graph_cfg.write_text(f"features = {tmp_path / 'w_cfg.relf'}\n"
+                             f"out = {tmp_path / 'g_cfg.relg'}\nk = 7\ngamma = 2.0\n")
+        assert main(["--quiet", "--config", str(whiten_cfg), "features", "whiten"]) == 0
+        assert main(["--quiet", "--config", str(graph_cfg), "graph", "build"]) == 0
+        # The same run with every value given as a flag.
+        assert main(["--quiet", "features", "whiten", "--in", str(features),
+                     "--out", str(tmp_path / "w.relf"), "--eps", "0.5"]) == 0
+        assert main(["--quiet", "graph", "build", "--features", str(tmp_path / "w.relf"),
+                     "--out", str(tmp_path / "g.relg"), "--k", "7", "--gamma", "2.0"]) == 0
+        assert (tmp_path / "w_cfg.relf").read_bytes() == (tmp_path / "w.relf").read_bytes()
+        assert (tmp_path / "g_cfg.relg").read_bytes() == (tmp_path / "g.relg").read_bytes()
+
+        # Flags win over config values, paths included.
+        assert main(["--quiet", "--config", str(whiten_cfg), "features", "whiten",
+                     "--eps", "1e-10", "--out", str(tmp_path / "w_flag.relf")]) == 0
+        assert main(["--quiet", "features", "whiten", "--in", str(features),
+                     "--out", str(tmp_path / "w_default.relf")]) == 0
+        assert ((tmp_path / "w_flag.relf").read_bytes()
+                == (tmp_path / "w_default.relf").read_bytes()
+                != (tmp_path / "w.relf").read_bytes())
+        assert main(["--quiet", "--config", str(graph_cfg), "graph", "build",
+                     "--k", "3", "--out", str(tmp_path / "g_flag.relg")]) == 0
+        assert main(["--quiet", "graph", "build", "--features", str(tmp_path / "w.relf"),
+                     "--out", str(tmp_path / "g_k3.relg"), "--k", "3", "--gamma", "2.0"]) == 0
+        assert ((tmp_path / "g_flag.relg").read_bytes()
+                == (tmp_path / "g_k3.relg").read_bytes()
+                != (tmp_path / "g.relg").read_bytes())
+
+        # A required path in neither the config nor the flags is named by click.
+        partial = tmp_path / "partial.cfg"
+        partial.write_text(f"in = {features}\n")
+        capsys.readouterr()
+        assert main(["--config", str(partial), "features", "whiten"]) == 2
+        assert capsys.readouterr().err == "error: Missing option '--out'.\n"
+
 
 class TestComposition:
     def test_pipeline_matches_chained_subcommands(self, workspace, tmp_path):
@@ -428,7 +470,7 @@ def chained(workspace, tmp_path_factory):
 
 def mutate_seeds(path, key, value):
     doc = json.loads(path.read_text())
-    doc["seeds"][0][key] = value
+    (doc if key == "n_classes" else doc["seeds"][0])[key] = value
     path.write_text(json.dumps(doc))
 
 
@@ -459,6 +501,9 @@ def consumer_argv(command, files, out):
     if command == "propagate":
         return ["propagate", "--graph", files["graph"], "--seeds", files["seeds"],
                 "--out", out]
+    if command == "propagate-nn":
+        return ["propagate", "--method", "nn", "--features", files["features"],
+                "--seeds", files["seeds"], "--out", out]
     if command == "select":
         return ["select", "--features", files["features"],
                 "--propagated", files["propagated"], "--seeds", files["seeds"],
@@ -493,6 +538,27 @@ def apply_edit(records, action, position, key, value):
             records[position][key] = value
         else:
             records[position].pop(key, None)
+
+
+SEED_VALUES = (st.sampled_from([-1, 0, 3, 4, 119, 120, 2**40, 2**63, 2**70])
+               | st.integers() | JSON_VALUES)
+# (action, seed position, key, value): n_classes and seeds are edited at the
+# top level of the document, index and class in the seed at that position.
+SEED_EDITS = st.tuples(
+    st.sampled_from(["set", "delete", "replace", "drop"]),
+    st.sampled_from([0, 1, -1]),
+    st.sampled_from(["n_classes", "seeds", "index", "class"]),
+    SEED_VALUES)
+
+
+def apply_seed_edit(doc, action, position, key, value):
+    if key in ("index", "class"):
+        if isinstance(doc.get("seeds"), list) and len(doc["seeds"]) >= 2:
+            apply_edit(doc["seeds"], action, position, key, value)
+    elif action in ("delete", "drop"):
+        doc.pop(key, None)
+    else:
+        doc[key] = value
 
 
 class TestStrictLoaders:
@@ -542,6 +608,11 @@ class TestStrictLoaders:
         ("propagated", "label", 2**70, ["select", "evaluate"]),
         ("propagated", "label", -2**70, ["select", "evaluate"]),
         ("truth", None, 2**70, ["evaluate"]),
+        ("seeds", "n_classes", 2**40, ["propagate", "propagate-nn", "select"]),
+        ("seeds", "n_classes", 2**70, ["propagate", "propagate-nn", "select"]),
+        ("seeds", "n_classes", 121, ["propagate", "propagate-nn", "select"]),
+        ("seeds", "index", 2**40, ["propagate", "propagate-nn", "select"]),
+        ("seeds", "index", 2**70, ["propagate", "propagate-nn", "select"]),
     ])
     def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands):
@@ -598,6 +669,28 @@ class TestStrictLoaders:
         if code == 3:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(SEED_EDITS, min_size=1, max_size=3))
+    def test_mutated_seeds_file(self, chained, workspace, tmp_path, capsys, edits):
+        doc = json.loads((workspace / "seeds.json").read_text())
+        for edit in edits:
+            apply_seed_edit(doc, *edit)
+        bad = tmp_path / "seeds.json"
+        bad.write_text(json.dumps(doc))
+        files = {"graph": str(chained / GRAPH_NAME),
+                 "features": str(chained / WHITENED_NAME), "seeds": str(bad)}
+        for command in ("propagate", "propagate-nn"):
+            out = tmp_path / PROPAGATED_NAME
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = main(consumer_argv(command, files, str(out)))
+            assert code in (0, 2, 3), command
+            assert out.exists() == (code == 0), command
+            if code != 0:
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 def option_table(command):

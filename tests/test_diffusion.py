@@ -149,6 +149,25 @@ class TestSeedLabels:
         with pytest.raises(FormatError):
             load_seeds(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"n_classes": 2**63, "seeds": []},
+        {"n_classes": 2, "seeds": [{"index": 2**63, "class": 1}]},
+        {"n_classes": 2, "seeds": [{"index": 0, "class": -2**63 - 1}]},
+    ])
+    def test_load_rejects_values_outside_int64(self, tmp_path, doc):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="int64"):
+            load_seeds(path)
+
+    def test_check_fits(self):
+        seeds = seeds_of({0: 0, 2: 2}, 3)
+        seeds.check_fits(3)
+        with pytest.raises(DataError, match="seed index 2 "):
+            seeds.check_fits(2)
+        with pytest.raises(DataError, match="3 classes"):
+            seeds_of({0: 0}, 3).check_fits(2)
+
 
 class TestLabelMatrix:
     def test_single_seed(self):
