@@ -45,7 +45,7 @@ from .graph import (
     save_graph,
 )
 from .metrics import NoiseReport, compare_selection, noise_report
-from .pipeline import PipelineConfig, load_config_file, run_pipeline
+from .pipeline import load_config_file, run_pipeline
 from .selection import (
     LossTrace,
     ProbeConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "LossTrace",
     "NoiseReport",
     "NormalizedGraph",
-    "PipelineConfig",
     "ProbeConfig",
     "RelabError",
     "ReliableEntry",

@@ -1,26 +1,26 @@
 """Command-line interface.
 
-Every flag can also come from a `--config` file of `key = value` lines
-(keys are the long flag names with '-' or '_' interchangeable). The file's
-values become click defaults, so explicit flags win over them and they
-satisfy required options. Exit codes: 0 success, 2 configuration error,
-3 data or file-format error, 4 solver or training failure.
+Every subcommand option (not --config, --quiet or --json) can also come
+from a `--config` file of `key = value` lines, keyed by the long flag name
+with '-' or '_' interchangeable; any other key is a configuration error.
+The values become click defaults, parsed like flag text, so explicit flags
+win over them and they satisfy required options. Exit codes: 0 success,
+2 configuration error, 3 data or file-format error, 4 solver or training failure.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import click
 
 from .diffusion import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .errors import RelabError
+from .errors import ConfigError, RelabError
 from .graph import DEFAULT_GAMMA, DEFAULT_SPARSE_K, DENSE_NODE_LIMIT
 from .pipeline import (
     METHODS,
     STRATEGIES,
-    PipelineConfig,
     evaluate_step,
     graph_step,
     load_config_file,
@@ -41,22 +41,35 @@ class CliState:
     as_json: bool = False
 
 
-def _default_map(command, config):
+def _flag_text(value, multiple):
+    """The text a flag would carry for a config value (`k = 2.5` is no int);
+    no flag carries a NUL character, which no path may hold."""
+    if multiple and isinstance(value, list):
+        return [_flag_text(item, False) for item in value]
+    text = value if isinstance(value, str) else json.dumps(value)
+    if "\0" in text:
+        raise ConfigError(f"config value {value!r} holds a NUL character")
+    return text
+
+
+def _default_map(command, config, used):
     """click's default_map for `command`, nested like its command tree.
 
     Each option takes the config value whose key is its long flag, with
-    '-' read as '_'.
+    '-' read as '_'; the keys taken are added to `used`.
     """
     if isinstance(command, click.Group):
-        return {name: _default_map(sub, config) for name, sub in command.commands.items()}
-    return {param.name: config[key] for param in command.params for opt in param.opts
+        return {name: _default_map(sub, config, used)
+                for name, sub in command.commands.items()}
+    keys = {param: key for param in command.params for opt in param.opts
             if (key := opt[2:].replace("-", "_")) in config}
+    used.update(keys.values())
+    return {param.name: _flag_text(config[key], param.multiple) for param, key in keys.items()}
 
 
-def _format_value(value):
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
+def _probe(options):
+    """Pop the probe flags, whose destinations are ProbeConfig's fields."""
+    return ProbeConfig(**{f.name: options.pop(f.name) for f in fields(ProbeConfig)})
 
 
 def _emit(ctx, summary):
@@ -70,7 +83,8 @@ def _emit(ctx, summary):
         return
     for step in summary if isinstance(summary, list) else [summary]:
         name = step.get("step", "")
-        parts = [f"{k}={_format_value(v)}" for k, v in step.items() if k != "step"]
+        parts = [f"{k}={json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}"
+                 for k, v in step.items() if k != "step"]
         click.echo(f"{name}: " + " ".join(parts))
 
 
@@ -83,10 +97,8 @@ def _options(*decorators):
     return apply
 
 
-_WHITEN_OPTIONS = _options(
-    click.option("--eps", type=float, default=1e-10, show_default=True,
-                 help="relative eigenvalue cutoff for null directions"),
-)
+_WHITEN_OPTIONS = click.option("--eps", type=float, default=1e-10, show_default=True,
+                               help="relative eigenvalue cutoff for null directions")
 _GRAPH_OPTIONS = _options(
     click.option("--gamma", type=float, default=DEFAULT_GAMMA, show_default=True,
                  help="cosine-affinity exponent"),
@@ -135,7 +147,10 @@ def cli(ctx, config_path, quiet, as_json):
     ctx.obj = CliState(quiet=quiet, as_json=as_json)
     if config_path:
         # Runs before the subcommand parses its flags, so flags still win.
-        ctx.default_map = _default_map(ctx.command, load_config_file(config_path))
+        config, used = load_config_file(config_path), set()
+        ctx.default_map = _default_map(ctx.command, config, used)
+        if unknown := sorted(config.keys() - used):
+            raise ConfigError(f"{config_path}: unknown config key(s) {', '.join(unknown)}")
 
 
 @cli.group()
@@ -149,9 +164,9 @@ def features():
               help="whitened features (RELF)")
 @_WHITEN_OPTIONS
 @click.pass_context
-def features_whiten(ctx, in_path, out_path, eps):
+def features_whiten(ctx, **options):
     """PCA-whiten a feature file."""
-    _emit(ctx, whiten_step(in_path, out_path, eps=eps))
+    _emit(ctx, whiten_step(**options))
 
 
 @cli.group()
@@ -164,9 +179,9 @@ def graph():
 @_GRAPH_OPTIONS
 @click.option("--out", "out_path", metavar="PATH", required=True, help="graph file (RELG)")
 @click.pass_context
-def graph_build(ctx, features_path, gamma, k, out_path):
+def graph_build(ctx, **options):
     """Build the cosine-affinity graph over feature rows."""
-    _emit(ctx, graph_step(features_path, out_path, gamma=gamma, k=k))
+    _emit(ctx, graph_step(**options))
 
 
 @cli.command()
@@ -180,13 +195,9 @@ def graph_build(ctx, features_path, gamma, k, out_path):
 @click.option("--out", "out_path", metavar="PATH", required=True,
               help="propagated labels (JSONL)")
 @click.pass_context
-def propagate(ctx, graph_path, features_path, seeds_path, alpha, tol, max_iter,
-              method, out_path):
+def propagate(ctx, **options):
     """Spread seed labels to every sample."""
-    _emit(ctx, propagate_step(
-        seeds_path, out_path, graph_path=graph_path, features_path=features_path,
-        alpha=alpha, tol=tol, max_iter=max_iter, method=method,
-    ))
+    _emit(ctx, propagate_step(**options))
 
 
 @cli.command()
@@ -197,13 +208,10 @@ def propagate(ctx, graph_path, features_path, seeds_path, alpha, tol, max_iter,
 @_SELECT_OPTIONS
 @click.option("--out", "out_path", metavar="PATH", required=True, help="reliable set (JSONL)")
 @click.pass_context
-def select(ctx, features_path, propagated_path, seeds_path, n_r, strategy, out_path,
-           **probe):
+def select(ctx, **options):
     """Select the class-balanced reliable subset."""
-    _emit(ctx, select_step(
-        features_path, propagated_path, seeds_path, out_path,
-        n_r=n_r, strategy=strategy, probe=ProbeConfig(**probe),
-    ))
+    probe = _probe(options)
+    _emit(ctx, select_step(probe=probe, **options))
 
 
 @cli.command()
@@ -215,10 +223,9 @@ def select(ctx, features_path, propagated_path, seeds_path, n_r, strategy, out_p
               help="also score this reliable set")
 @click.option("--out", "out_path", metavar="PATH", required=True, help="report (JSON)")
 @click.pass_context
-def evaluate(ctx, predicted_path, truth_path, reliable_path, out_path):
+def evaluate(ctx, **options):
     """Write a per-class noise and balance report."""
-    _emit(ctx, evaluate_step(predicted_path, truth_path, out_path,
-                             reliable_path=reliable_path))
+    _emit(ctx, evaluate_step(**options))
 
 
 @cli.command()
@@ -236,15 +243,9 @@ def evaluate(ctx, predicted_path, truth_path, reliable_path, out_path):
               help="also write a seed file (needs --seeds-per-class)")
 @click.option("--seeds-per-class", type=int, default=None)
 @click.pass_context
-def synth(ctx, n_classes, per_class, dims, separation, rng_seed, imbalance,
-          out_features, out_truth, out_seeds, seeds_per_class):
+def synth(ctx, **options):
     """Generate a labeled Gaussian-mixture fixture."""
-    _emit(ctx, synth_step(
-        out_features, out_truth, n_classes=n_classes, per_class=per_class,
-        dims=dims, separation=separation, rng_seed=rng_seed,
-        imbalance=list(imbalance) if imbalance else None,
-        out_seeds=out_seeds, seeds_per_class=seeds_per_class,
-    ))
+    _emit(ctx, synth_step(**options))
 
 
 @cli.command()
@@ -259,16 +260,10 @@ def synth(ctx, n_classes, per_class, dims, separation, rng_seed, imbalance,
 @_PROPAGATE_OPTIONS
 @_SELECT_OPTIONS
 @click.pass_context
-def pipeline(ctx, features_path, seeds_path, truth_path, out_dir, eps, gamma, k,
-             alpha, tol, max_iter, method, n_r, strategy, **probe):
+def pipeline(ctx, **options):
     """Run whiten, graph, propagate, select, and evaluate in one go."""
-    cfg = PipelineConfig(
-        features=features_path, seeds=seeds_path, out_dir=out_dir,
-        truth=truth_path, eps=eps, gamma=gamma, k=k, alpha=alpha, tol=tol,
-        max_iter=max_iter, method=method, n_r=n_r, strategy=strategy,
-        probe=ProbeConfig(**probe),
-    )
-    _emit(ctx, run_pipeline(cfg))
+    probe = _probe(options)
+    _emit(ctx, run_pipeline(probe=probe, **options))
 
 
 def main(argv=None):

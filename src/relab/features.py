@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateInputError, FormatError
+from .errors import ConfigError, DataError, DegenerateInputError, FormatError
 from .fileio import HEADER, atomic_write, read_binary
 
 RELF_MAGIC = b"RELF"
@@ -82,8 +82,10 @@ def pca_whiten(X, eps=1e-10):
     numerically null directions are dropped). The output has zero mean and
     identity sample covariance on the kept components. Uses the D x D
     covariance eigendecomposition when D <= N and the N x N Gram (dual)
-    path otherwise.
+    path otherwise. Raises ConfigError unless 0 < eps < 1.
     """
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,34 +91,6 @@ def load_config_file(path):
         except json.JSONDecodeError:
             values[key] = value
     return values
-
-
-@dataclass
-class PipelineConfig:
-    """Everything a full run needs; defaults follow the module defaults."""
-
-    features: str
-    seeds: str
-    out_dir: str
-    truth: str | None = None
-    eps: float = 1e-10
-    gamma: float = DEFAULT_GAMMA
-    k: int | None = None
-    alpha: float = DEFAULT_ALPHA
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    method: str = "diffusion"
-    n_r: int | None = None
-    strategy: str = "small-loss"
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
 
 
 def whiten_step(in_path, out_path, eps=1e-10):
@@ -262,7 +233,7 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
         dims=dims,
         separation=separation,
         rng_seed=rng_seed,
-        imbalance=tuple(imbalance) if imbalance is not None else None,
+        imbalance=tuple(imbalance) if imbalance else None,
     )
     X, truth = generate(cfg)
     save_features(out_features, X)
@@ -286,38 +257,40 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
     return summary
 
 
-def run_pipeline(cfg):
+def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
+                 gamma=DEFAULT_GAMMA, k=None, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL,
+                 max_iter=DEFAULT_MAX_ITER, method="diffusion", n_r=None,
+                 strategy="small-loss", probe=None):
     """Run whiten -> graph -> propagate -> select (-> evaluate) into out_dir.
 
     Every intermediate is written to, then read back from, out_dir, so the
     artifacts match a manual chain of the subcommands exactly. Returns the
     list of per-step summaries.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
-        return os.path.join(cfg.out_dir, name)
+        return os.path.join(out_dir, name)
 
-    steps = [whiten_step(cfg.features, path(WHITENED_NAME), eps=cfg.eps)]
-    if cfg.method == "diffusion":
-        steps.append(graph_step(path(WHITENED_NAME), path(GRAPH_NAME),
-                                gamma=cfg.gamma, k=cfg.k))
-        steps.append(propagate_step(
-            cfg.seeds, path(PROPAGATED_NAME), graph_path=path(GRAPH_NAME),
-            alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter, method="diffusion",
-        ))
-    else:
-        steps.append(propagate_step(
-            cfg.seeds, path(PROPAGATED_NAME), features_path=path(WHITENED_NAME),
-            method="nn",
-        ))
-    steps.append(select_step(
-        path(WHITENED_NAME), path(PROPAGATED_NAME), cfg.seeds, path(RELIABLE_NAME),
-        n_r=cfg.n_r, strategy=cfg.strategy, probe=cfg.probe,
+    steps = [whiten_step(features_path, path(WHITENED_NAME), eps=eps)]
+    if method == "diffusion":
+        steps.append(graph_step(path(WHITENED_NAME), path(GRAPH_NAME), gamma=gamma, k=k))
+    steps.append(propagate_step(
+        seeds_path, path(PROPAGATED_NAME), graph_path=path(GRAPH_NAME),
+        features_path=path(WHITENED_NAME), alpha=alpha, tol=tol, max_iter=max_iter,
+        method=method,
     ))
-    if cfg.truth is not None:
+    steps.append(select_step(
+        path(WHITENED_NAME), path(PROPAGATED_NAME), seeds_path, path(RELIABLE_NAME),
+        n_r=n_r, strategy=strategy, probe=probe,
+    ))
+    if truth_path is not None:
         steps.append(evaluate_step(
-            path(PROPAGATED_NAME), cfg.truth, path(REPORT_NAME),
+            path(PROPAGATED_NAME), truth_path, path(REPORT_NAME),
             reliable_path=path(RELIABLE_NAME),
         ))
     return steps

@@ -21,7 +21,6 @@ from relab.pipeline import (
     RELIABLE_NAME,
     REPORT_NAME,
     WHITENED_NAME,
-    PipelineConfig,
     run_pipeline,
     synth_step,
 )
@@ -289,14 +288,9 @@ class TestCriterion9Determinism:
                      REPORT_NAME]
         blobs = []
         for run_dir in ("run1", "run2"):
-            cfg = PipelineConfig(
-                features=str(data / "features.relf"),
-                seeds=str(data / "seeds.json"),
-                out_dir=str(tmp_path / run_dir),
-                truth=str(data / "truth.json"),
-                n_r=40,
-            )
-            run_pipeline(cfg)
+            run_pipeline(str(data / "features.relf"), str(data / "seeds.json"),
+                         str(tmp_path / run_dir), truth_path=str(data / "truth.json"),
+                         n_r=40)
             blobs.append({a: (tmp_path / run_dir / a).read_bytes() for a in artifacts})
         identical = [a for a in artifacts if blobs[0][a] == blobs[1][a]]
         ok = len(identical) == len(artifacts)

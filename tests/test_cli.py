@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.metadata
+import inspect
 import json
 import os
 import re
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import relab
+import relab.cli
 from relab.cli import cli, main
 from relab.features import save_features
 from relab.diffusion import build_label_matrix, diffuse, load_seeds
@@ -26,6 +29,7 @@ from relab.pipeline import (
     REPORT_NAME,
     WHITENED_NAME,
 )
+from relab.selection import ProbeConfig
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +109,16 @@ class TestExitCodes:
                      "--seeds", str(workspace / "seeds.json"),
                      "--out", str(out / PROPAGATED_NAME)])
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["1", "nan", "inf", "2", "0", "-1"])
+    def test_eps_out_of_range(self, workspace, tmp_path, capsys, eps):
+        out = tmp_path / "w.relf"
+        code = main(["features", "whiten", f"--eps={eps}",
+                     "--in", str(workspace / "features.relf"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps") and "Traceback" not in err, err
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["features", "whiten", "--in", str(tmp_path / "absent.relf"),
@@ -228,6 +242,35 @@ class TestOutputModes:
             "whiten", "graph", "propagate", "select", "evaluate"]
 
 
+# Long flags of `features whiten` and `graph build`, plus names no option has.
+# The fuzzed config stays on these two commands: a config key such as
+# `epochs` or `max_iter` could make a run unbounded.
+OPTION_KEYS = ["in", "out", "eps", "features", "gamma", "k"]
+UNKNOWN_KEYS = ["alhpa", "quiet", "json", "config", "in_path", "out-path", "frobnicate"]
+CONFIG_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=4)
+# JSON text of every kind, raw text the parser keeps as a string, and values
+# inside and at the bounds eps in (0, 1), gamma > 0 and 1 <= k < 120.
+CONFIG_VALUES = (CONFIG_JSON.map(json.dumps) | st.text(max_size=8)
+                 | st.sampled_from(["0.5", "1e-10", "3", "1", "7", "119", "120", "0"]))
+
+
+def config_argv(command, workspace, chained, tmp_path, lines):
+    """argv running `command` from a config file whose input path the given
+    lines may override; the output path is a flag, so it always wins."""
+    if command == "whiten":
+        base, sub = f"in = {workspace / 'features.relf'}", ["features", "whiten"]
+    else:
+        base, sub = f"features = {chained / WHITENED_NAME}", ["graph", "build"]
+    cfg = tmp_path / "relab.cfg"
+    cfg.write_text(f"{base}\n{lines}\n", encoding="utf-8")
+    out = tmp_path / "out.bin"
+    return ["--quiet", "--config", str(cfg)] + sub + ["--out", str(out)], out
+
+
 class TestConfigFile:
     def test_config_supplies_values_and_flags_win(self, tmp_path):
         cfg = tmp_path / "relab.cfg"
@@ -306,6 +349,57 @@ class TestConfigFile:
         capsys.readouterr()
         assert main(["--config", str(partial), "features", "whiten"]) == 2
         assert capsys.readouterr().err == "error: Missing option '--out'.\n"
+
+    def test_config_list_fills_multiple_option(self, tmp_path, capsys):
+        cfg = tmp_path / "relab.cfg"
+        cfg.write_text("classes = 2\nimbalance = [2, 3]\ndims = 4\n")
+        assert main(["--json", "--config", str(cfg), "synth",
+                     "--out-features", str(tmp_path / "f.relf"),
+                     "--out-truth", str(tmp_path / "t.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 5
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("whiten", "eps = null", "Invalid value for '--eps'"),
+        ("whiten", "eps = [1]", "Invalid value for '--eps'"),
+        ("graph", "gamma = null", "Invalid value for '--gamma'"),
+        ("graph", "k = 2.5", "Invalid value for '--k'"),
+        ("graph", "k = true", "Invalid value for '--k'"),
+        ("whiten", "alhpa = 0.5", "alhpa"),
+        ("graph", "quiet = true", "quiet"),
+        ("whiten", "in = a\x00b", "NUL"),
+        ("graph", 'features = "a\\u0000b"', "NUL"),
+    ])
+    def test_bad_config_entry_exits_2(self, workspace, chained, tmp_path, capsys,
+                                      command, line, message):
+        """A value is parsed like flag text, so a JSON kind the flag cannot
+        carry fails click's check, and a key no subcommand option has is named."""
+        argv, out = config_argv(command, workspace, chained, tmp_path, line)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["whiten", "graph"]),
+           entries=st.dictionaries(st.sampled_from(OPTION_KEYS), CONFIG_VALUES, max_size=4),
+           unknown=st.none() | st.sampled_from(UNKNOWN_KEYS))
+    def test_fuzzed_config_file(self, workspace, chained, tmp_path, capsys, command,
+                                entries, unknown):
+        lines = [f"{key} = {value}" for key, value in entries.items()]
+        if unknown:
+            lines.append(f"{unknown} = 1")
+        argv, out = config_argv(command, workspace, chained, tmp_path, "\n".join(lines))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(argv)
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        if code:
+            assert err.startswith("error: "), err
 
 
 class TestComposition:
@@ -702,7 +796,32 @@ def option_table(command):
     }
 
 
+STEPS = {("features", "whiten"): "whiten_step", ("graph", "build"): "graph_step",
+         ("propagate",): "propagate_step", ("select",): "select_step",
+         ("evaluate",): "evaluate_step", ("synth",): "synth_step",
+         ("pipeline",): "run_pipeline"}
+
+
+def leaf_commands(group, path=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from leaf_commands(command, path + (name,))
+        else:
+            yield path + (name,), command
+
+
 class TestCliParity:
+    @pytest.mark.parametrize("path", [path for path, _ in leaf_commands(cli)], ids="-".join)
+    def test_options_are_step_parameters(self, path):
+        """A command hands its options to its step by name, the probe flags
+        as one ProbeConfig: a renamed destination fails here."""
+        names = {param.name for param in dict(leaf_commands(cli))[path].params}
+        probe = {field.name for field in dataclasses.fields(ProbeConfig)}
+        # `synth --rng-seed` shares a name with a probe field, not the bundle.
+        expected = names - probe | {"probe"} if probe <= names else names
+        step = getattr(relab.cli, STEPS[path])
+        assert set(inspect.signature(step).parameters) == expected
+
     @pytest.mark.parametrize("path", [
         ("features", "whiten"), ("graph", "build"), ("propagate",), ("select",)])
     def test_step_flags_exist_on_pipeline(self, path):

@@ -10,7 +10,6 @@ from relab.pipeline import (
     RELIABLE_NAME,
     REPORT_NAME,
     WHITENED_NAME,
-    PipelineConfig,
     default_nr,
     load_config_file,
     run_pipeline,
@@ -62,17 +61,17 @@ class TestConfigFile:
             load_config_file(tmp_path / "absent.cfg")
 
 
-class TestPipelineConfig:
-    def test_bad_method(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(features="f", seeds="s", out_dir="o", method="psychic")
-
-    def test_bad_strategy(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(features="f", seeds="s", out_dir="o", strategy="vibes")
-
-
 class TestRunPipeline:
+    def test_bad_method(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run_pipeline("f", "s", tmp_path / "o", method="psychic")
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_strategy(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run_pipeline("f", "s", tmp_path / "o", strategy="vibes")
+        assert not (tmp_path / "o").exists()
+
     def test_standard_fixture_fills_every_class_budget(self, tmp_path):
         # Well-separated 10-class mixture, 4 seeds/class, nr=500: every
         # class has plenty of candidates, so the reliable set holds
@@ -84,14 +83,8 @@ class TestRunPipeline:
                    rng_seed=1, out_seeds=str(data / "seeds.json"),
                    seeds_per_class=4)
         out = tmp_path / "run"
-        cfg = PipelineConfig(
-            features=str(data / "features.relf"),
-            seeds=str(data / "seeds.json"),
-            out_dir=str(out),
-            truth=str(data / "truth.json"),
-            n_r=500,
-        )
-        steps = run_pipeline(cfg)
+        steps = run_pipeline(str(data / "features.relf"), str(data / "seeds.json"),
+                             str(out), truth_path=str(data / "truth.json"), n_r=500)
         assert [s["step"] for s in steps] == [
             "whiten", "graph", "propagate", "select", "evaluate"]
 
@@ -117,13 +110,8 @@ class TestRunPipeline:
                    rng_seed=0, out_seeds=str(data / "seeds.json"),
                    seeds_per_class=2)
         out = tmp_path / "run"
-        cfg = PipelineConfig(
-            features=str(data / "features.relf"),
-            seeds=str(data / "seeds.json"),
-            out_dir=str(out),
-            n_r=12,
-        )
-        steps = run_pipeline(cfg)
+        steps = run_pipeline(str(data / "features.relf"), str(data / "seeds.json"),
+                             str(out), n_r=12)
         assert [s["step"] for s in steps] == ["whiten", "graph", "propagate", "select"]
         for name in (WHITENED_NAME, GRAPH_NAME, PROPAGATED_NAME, RELIABLE_NAME):
             assert (out / name).exists()
