@@ -9,15 +9,13 @@ cosine-closest seed label.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, SolverError
 from .features import l2_normalize
-from .fileio import all_int64, atomic_write, load_json, load_jsonl, save_jsonl
+from .fileio import load_json, load_jsonl, save_json, save_jsonl, typed
 
 DEFAULT_ALPHA = 0.99
 DEFAULT_TOL = 1e-6
@@ -91,22 +89,17 @@ class DiffusionResult:
 
 def load_seeds(path):
     """Read a seeds JSON file: {"n_classes": C, "seeds": [{"index", "class"}...]}."""
-    data = load_json(path)
-    if (not isinstance(data, dict) or not all_int64([data.get("n_classes")])
-            or not isinstance(data.get("seeds"), list)):
-        raise FormatError(f"{path}: seeds file needs an int64 'n_classes' and a 'seeds' list")
+    n_classes, entries = typed(path, "seeds file (int64 n_classes, seeds list)",
+                               load_json(path), {"n_classes": int, "seeds": list})
     assignments = {}
-    for entry in data["seeds"]:
-        if not isinstance(entry, dict) or "index" not in entry or "class" not in entry:
-            raise FormatError(f"{path}: each seed needs 'index' and 'class'")
-        idx, cls = entry["index"], entry["class"]
-        if not all_int64([idx, cls]):
-            raise FormatError(f"{path}: seed index/class must be int64 integers")
+    for entry in entries:
+        idx, cls = typed(path, "seed (int64 index and class)", entry,
+                         {"index": int, "class": int})
         if idx in assignments:
             raise FormatError(f"{path}: duplicate seed index {idx}")
         assignments[idx] = cls
     try:
-        return SeedLabels(assignments=assignments, n_classes=data["n_classes"])
+        return SeedLabels(assignments=assignments, n_classes=n_classes)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -117,9 +110,7 @@ def save_seeds(path, seeds):
         "n_classes": seeds.n_classes,
         "seeds": [{"index": i, "class": c} for i, c in seeds.sorted_items()],
     }
-    with atomic_write(path) as handle:
-        handle.write(json.dumps(doc, indent=2).encode("ascii"))
-        handle.write(b"\n")
+    save_json(path, doc, indent=2, sort_keys=False)
 
 
 def build_label_matrix(seeds, n):
@@ -291,21 +282,13 @@ def load_propagated(path):
     retrieval = np.empty(n, dtype=np.float64)
     is_seed = np.zeros(n, dtype=bool)
     seen = set()
+    schema = {"index": int, "label": int, "retrieval_score": float, "is_seed": bool}
     for record in records:
-        try:
-            i = record["index"]
-            labels_i = record["label"]
-            score_i = record["retrieval_score"]
-            seed_i = record["is_seed"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: malformed propagation record: {record!r}") from exc
-        if (not all_int64([i, labels_i]) or type(seed_i) is not bool
-                or type(score_i) not in (int, float) or not math.isfinite(score_i)):
-            raise FormatError(f"{path}: malformed propagation record: {record!r}")
+        i, label, score, seed = typed(path, "propagation record", record, schema)
         if not 0 <= i < n or i in seen:
             raise FormatError(f"{path}: sample index {i} duplicated or out of range")
         seen.add(i)
-        labels[i] = labels_i
-        retrieval[i] = score_i
-        is_seed[i] = seed_i
+        labels[i] = label
+        retrieval[i] = score
+        is_seed[i] = seed
     return labels, retrieval, is_seed

@@ -78,11 +78,13 @@ def pca_whiten(X, eps=1e-10):
     """PCA-whiten rows of X; returns (whitened matrix, WhitenStats).
 
     Keeps every principal direction whose covariance eigenvalue exceeds
-    eps * lambda_max (whitening, not dimensionality reduction: only
-    numerically null directions are dropped). The output has zero mean and
-    identity sample covariance on the kept components. Uses the D x D
-    covariance eigendecomposition when D <= N and the N x N Gram (dual)
-    path otherwise. Raises ConfigError unless 0 < eps < 1.
+    max(eps, max(N, D) * float64 epsilon) * lambda_max, the tolerance of
+    numpy.linalg.matrix_rank (whitening, not dimensionality reduction: only
+    numerically null directions are dropped, however small eps is). The
+    output has zero mean and identity sample covariance on the kept
+    components. Uses the D x D covariance eigendecomposition when D <= N
+    and the N x N Gram (dual) path otherwise. Raises ConfigError unless
+    0 < eps < 1.
     """
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
@@ -111,7 +113,7 @@ def pca_whiten(X, eps=1e-10):
     if lam_max <= 0.0:
         raise DegenerateInputError("input has rank 0 after centering (all rows identical)")
 
-    keep = eigvals > eps * lam_max
+    keep = eigvals > max(eps, max(n, d) * np.finfo(np.float64).eps) * lam_max
     order = np.argsort(eigvals[keep], kind="stable")[::-1]
     basis = eigvecs[:, keep][:, order]
     lams = eigvals[keep][order]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 from contextlib import contextmanager
 
@@ -84,24 +85,38 @@ def load_json(path):
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def all_int64(values):
-    """Whether every value is a JSON integer (not a bool) that fits in int64."""
-    return all(type(v) is int and -2**63 <= v < 2**63 for v in values)
+def _fits(value, kind):
+    if type(kind) is list:
+        return type(value) is list and all(_fits(v, kind[0]) for v in value)
+    if kind is int:
+        return type(value) is int and -2**63 <= value < 2**63
+    if kind is float:  # false for nan, inf and an int too large for a float, like 10**400
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+def typed(path, what, record, schema):
+    """Return the record's values under the schema's keys, in schema order.
+
+    schema maps each key to its kind: int (an int64 integer, not a bool),
+    float (a finite number, not a bool), bool, str, list, or [kind] (a
+    list of that kind). Raises FormatError when the record is not an
+    object, lacks a key or holds a value of another kind.
+    """
+    if not (isinstance(record, dict)
+            and all(key in record and _fits(record[key], kind) for key, kind in schema.items())):
+        raise FormatError(f"{path}: malformed {what}: {record!r:.200}")
+    return [record[key] for key in schema]
 
 
 def save_truth(path, labels):
     """Write ground-truth class indices as a JSON array."""
-    payload = json.dumps([int(c) for c in labels]).encode("ascii")
-    with atomic_write(path) as handle:
-        handle.write(payload)
-        handle.write(b"\n")
+    save_json(path, [int(c) for c in labels], indent=None, sort_keys=False)
 
 
 def load_truth(path):
     """Read a JSON array of class indices into an int array."""
-    data = load_json(path)
-    if not isinstance(data, list) or not all_int64(data):
-        raise FormatError(f"{path}: truth file must be a JSON array of int64 integers")
+    (data,) = typed(path, "truth file", {"labels": load_json(path)}, {"labels": [int]})
     if any(c < 0 for c in data):
         raise FormatError(f"{path}: truth file contains negative class indices")
     return np.asarray(data, dtype=np.int64)
@@ -130,9 +145,9 @@ def load_jsonl(path):
     return records
 
 
-def save_json(path, obj):
-    """Write a single JSON document (pretty-printed, stable key order)."""
-    payload = json.dumps(obj, indent=2, sort_keys=True).encode("ascii")
+def save_json(path, obj, indent=2, sort_keys=True):
+    """Write a single JSON document and a newline (pretty-printed, sorted keys by default)."""
+    payload = json.dumps(obj, indent=indent, sort_keys=sort_keys).encode("ascii")
     with atomic_write(path) as handle:
         handle.write(payload)
         handle.write(b"\n")

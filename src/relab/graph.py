@@ -74,6 +74,7 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     its k largest affinities (ties broken toward lower column index), then
     A is symmetrized entrywise as max(A_ij, A_ji). k=None keeps every
     positive affinity (the dense graph) through the same blocked loop.
+    Raises ConfigError when gamma underflows a kept affinity to zero.
     """
     if not gamma > 0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
@@ -127,8 +128,11 @@ def _topk_affinity(V, gamma, k):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     data = np.power(np.concatenate(vals), gamma)
+    if not data.all():  # every kept cosine is positive, so a zero is an underflow
+        raise ConfigError(f"gamma={gamma} underflows a positive affinity to 0; "
+                          "use a smaller gamma")
     directed = sp.csr_matrix((data, np.concatenate(cols), indptr), shape=(n, n))
-    # A canonical CSR: sorted, duplicate-free, and zeros (gamma underflow) dropped.
+    # A canonical CSR: sorted and duplicate-free.
     return directed.maximum(directed.T)
 
 

@@ -214,6 +214,8 @@ def evaluate_step(predicted_path, truth_path, out_path, reliable_path=None):
     if truth.shape != labels.shape:
         raise DataError(f"{truth_path}: {truth.size} truth labels for {labels.size} samples")
     n_classes = max(int(labels.max()), int(truth.max())) + 1
+    if n_classes > labels.size:  # propagate refuses more classes than samples
+        raise DataError(f"class index {n_classes - 1} out of range for {labels.size} samples")
     report = noise_report(labels, truth, n_classes)
     doc = report.to_dict()
     if reliable_path is not None:

@@ -12,13 +12,12 @@ available as an alternative trust measure.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, TrainingDivergedError
-from .fileio import all_int64, load_jsonl, save_jsonl
+from .fileio import load_jsonl, save_jsonl, typed
 
 ORIGIN_SEED = "seed"
 ORIGIN_BOOTSTRAPPED = "bootstrapped"
@@ -261,25 +260,16 @@ def load_reliable(path):
     records = load_jsonl(path)
     if not records or not isinstance(records[-1], dict) or "summary" not in records[-1]:
         raise FormatError(f"{path}: missing trailing summary record")
-    summary = records[-1]
-    score_kind = summary.get("score_kind", "avg_loss")
-    target = summary.get("target_per_class")
-    counts = summary.get("per_class_count")
-    warnings = summary.get("warnings", [])
-    if (score_kind not in ("avg_loss", "retrieval_score") or type(target) is not int
-            or not isinstance(counts, list) or not all_int64(counts)
-            or not isinstance(warnings, list) or not all(type(w) is str for w in warnings)):
-        raise FormatError(f"{path}: malformed summary record: {summary!r}")
+    score_kind, target, counts, warnings = typed(
+        path, "summary record", {"score_kind": "avg_loss", "warnings": [], **records[-1]},
+        {"score_kind": str, "target_per_class": int, "per_class_count": [int],
+         "warnings": [str]})
+    if score_kind not in ("avg_loss", "retrieval_score"):
+        raise FormatError(f"{path}: unknown score_kind {score_kind!r}")
+    schema = {"index": int, "class": int, "origin": str, score_kind: float}
     entries = []
     for record in records[:-1]:
-        try:
-            index, label = record["index"], record["class"]
-            origin, score = record["origin"], record[score_kind]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: malformed entry: {record!r}") from exc
-        if (not all_int64([index, label]) or type(origin) is not str
-                or type(score) not in (int, float) or not math.isfinite(score)):
-            raise FormatError(f"{path}: malformed entry: {record!r}")
+        index, label, origin, score = typed(path, "entry", record, schema)
         entries.append(ReliableEntry(index=index, label=label, origin=origin,
                                      score=float(score)))
     return ReliableSet(

@@ -49,6 +49,15 @@ def workspace(tmp_path_factory):
     return root
 
 
+def narrow_synth(root, dims):
+    """Features of 30 samples in 3 classes and `dims` dimensions, written by synth."""
+    path = root / f"narrow{dims}.relf"
+    assert main(["--quiet", "synth", "--classes", "3", "--per-class", "10",
+                 "--dims", str(dims), "--out-features", str(path),
+                 "--out-truth", str(root / f"narrow{dims}.json")]) == 0
+    return path
+
+
 def run_chain(root, out):
     """The pipeline spelled out as individual subcommands."""
     out.mkdir(exist_ok=True)
@@ -118,6 +127,26 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: eps") and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_tiny_eps_keeps_no_null_direction(self, tmp_path, capsys):
+        features = narrow_synth(tmp_path, dims=40)  # rank 29 once centred
+        assert main(["--json", "features", "whiten", "--eps", "1e-300",
+                     "--in", str(features), "--out", str(tmp_path / "w.relf")]) == 0
+        assert json.loads(capsys.readouterr().out)["dims_kept"] == 29
+
+    @pytest.mark.parametrize("flags", [["--gamma", "400", "--k", "5"], ["--gamma", "1e300"]])
+    def test_gamma_underflow_exits_2(self, tmp_path, capsys, flags):
+        # Whitened, these 30 samples in 20 dims keep small positive cosines,
+        # which cos^400 (some of them) and cos^1e300 (all) take to 0.
+        features, whitened = narrow_synth(tmp_path, dims=20), tmp_path / "w.relf"
+        assert main(["--quiet", "features", "whiten", "--in", str(features),
+                     "--out", str(whitened)]) == 0
+        out = tmp_path / "g.relg"
+        assert main(["graph", "build", *flags, "--features", str(whitened),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma=") and "Traceback" not in err, err
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
@@ -655,6 +684,33 @@ def apply_seed_edit(doc, action, position, key, value):
         doc[key] = value
 
 
+# Propagated records carry index, label, retrieval_score and is_seed; 10**400
+# is an integer too large for a float.
+PROPAGATED_EDITS = st.tuples(
+    st.sampled_from(["set", "delete", "replace", "drop"]),
+    st.sampled_from([0, 1, -1]),
+    st.sampled_from(["index", "label", "retrieval_score", "is_seed"]),
+    SEED_VALUES | st.just(10**400))
+# A truth file is one list: its entries are replaced or dropped.
+TRUTH_EDITS = st.tuples(st.sampled_from(["replace", "drop"]), st.sampled_from([0, 1, -1]),
+                        st.none(), SEED_VALUES)
+
+
+def assert_consumers_fail_cleanly(commands, files, tmp_path, capsys):
+    """Each command exits 0 with its output, or 2 or 3 with an error line and none."""
+    for command in commands:
+        out = tmp_path / f"{command}.out"
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(consumer_argv(command, files, str(out)))
+        assert code in (0, 2, 3), command
+        assert out.exists() == (code == 0), command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        if code:
+            assert err.startswith("error: "), err
+
+
 class TestStrictLoaders:
     """Values of the wrong JSON type are format errors, never coerced or crashed on."""
 
@@ -707,6 +763,14 @@ class TestStrictLoaders:
         ("seeds", "n_classes", 121, ["propagate", "propagate-nn", "select"]),
         ("seeds", "index", 2**40, ["propagate", "propagate-nn", "select"]),
         ("seeds", "index", 2**70, ["propagate", "propagate-nn", "select"]),
+        ("reliable", "target_per_class", 2**70, ["evaluate"]),
+        pytest.param("propagated", "retrieval_score", 10**400, ["select", "evaluate"],
+                     id="propagated-retrieval_score-10**400"),
+        pytest.param("reliable", "avg_loss", 10**400, ["evaluate"],
+                     id="reliable-avg_loss-10**400"),
+        ("propagated", "label", 120, ["evaluate"]),
+        ("truth", None, 120, ["evaluate"]),
+        ("truth", None, 2**40, ["evaluate"]),
     ])
     def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands):
@@ -785,6 +849,34 @@ class TestStrictLoaders:
             if code != 0:
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and "Traceback" not in err, err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(PROPAGATED_EDITS, min_size=1, max_size=3))
+    def test_mutated_propagated_file(self, chained, workspace, tmp_path, capsys, edits):
+        records = [json.loads(line)
+                   for line in (chained / PROPAGATED_NAME).read_text().splitlines()]
+        for edit in edits:
+            apply_edit(records, *edit)
+        bad = tmp_path / PROPAGATED_NAME
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        files = {"features": str(chained / WHITENED_NAME), "propagated": str(bad),
+                 "seeds": str(workspace / "seeds.json"), "truth": str(workspace / "truth.json"),
+                 "reliable": str(chained / RELIABLE_NAME)}
+        assert_consumers_fail_cleanly(["select", "evaluate"], files, tmp_path, capsys)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(TRUTH_EDITS, max_size=3), whole=st.none() | JSON_VALUES)
+    def test_mutated_truth_file(self, chained, workspace, tmp_path, capsys, edits, whole):
+        doc = json.loads((workspace / "truth.json").read_text())
+        for edit in edits:
+            apply_edit(doc, *edit)
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(doc if whole is None else whole))
+        files = {"propagated": str(chained / PROPAGATED_NAME), "truth": str(bad),
+                 "reliable": str(chained / RELIABLE_NAME)}
+        assert_consumers_fail_cleanly(["evaluate"], files, tmp_path, capsys)
 
 
 def option_table(command):

@@ -13,6 +13,7 @@ from relab.features import (
     pca_whiten,
     save_features,
 )
+from relab.synth import SynthConfig, generate
 
 HEADER = struct.Struct("<4sIQQ")
 
@@ -141,6 +142,16 @@ class TestWhitening:
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
             pca_whiten(np.array([[1.0, 2.0]]))
+
+    def test_tiny_eps_keeps_no_null_direction(self):
+        # 30 samples in 40 dims centre to rank 29. As a RELF file stores them,
+        # the null direction's eigenvalue is 4.7e-19 of the largest: above
+        # eps=1e-300, below the float64 floor max(N, D) * 2.2e-16.
+        X, _ = generate(SynthConfig(n_classes=3, per_class=10, dims=40))
+        X = X.astype(np.float32).astype(np.float64)
+        W, stats = pca_whiten(X, eps=1e-300)
+        assert stats.kept == pca_whiten(X)[1].kept == 29
+        assert np.abs(W).max() < 3.0
 
     def test_apply_reproduces_training_output(self, rng):
         X = rng.standard_normal((25, 4))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from relab.errors import DataError, FormatError
 from relab.features import load_features, save_features
-from relab.fileio import atomic_write, load_jsonl, load_truth, save_jsonl, save_truth
+from relab.fileio import atomic_write, load_jsonl, load_truth, save_jsonl, save_truth, typed
 from relab.graph import build_affinity, load_graph, save_graph
 
 
@@ -103,6 +103,45 @@ def test_json_readers_reject_bytes_that_are_not_utf8(tmp_path, load, blob):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="not valid JSON"):
         load(path)
+
+
+@pytest.mark.parametrize("kind, value, accepted", [
+    (int, True, False),
+    (int, 1.0, False),
+    (int, 2**63, False),
+    (int, -2**63 - 1, False),
+    (int, -2**63, True),
+    (int, 2**63 - 1, True),
+    (float, float("nan"), False),
+    (float, float("inf"), False),
+    (float, True, False),
+    (float, "0.5", False),
+    (float, 10**400, False),
+    (float, 1, True),
+    (bool, 1, False),
+    (str, None, False),
+    ([int], [1, True], False),
+    ([int], [], True),
+])
+def test_typed_kind_boundaries(kind, value, accepted):
+    if accepted:
+        assert typed("f.json", "record", {"v": value}, {"v": kind}) == [value]
+    else:
+        with pytest.raises(FormatError, match="^f.json: malformed record: "):
+            typed("f.json", "record", {"v": value}, {"v": kind})
+
+
+@pytest.mark.parametrize("record", [[1, "a"], None, "v", {"w": 1}])
+def test_typed_rejects_record_that_is_not_an_object_with_every_key(record):
+    with pytest.raises(FormatError, match="malformed record"):
+        typed("f.json", "record", record, {"v": int})
+
+
+def test_typed_returns_schema_order_and_truncates_the_record():
+    assert typed("f", "r", {"b": "x", "a": 1, "c": None}, {"a": int, "b": str}) == [1, "x"]
+    with pytest.raises(FormatError) as info:
+        typed("f", "r", {"v": list(range(10_000))}, {"v": [str]})
+    assert len(str(info.value)) == len("f: malformed r: ") + 200
 
 
 BINARY_FORMATS = {
