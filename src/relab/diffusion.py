@@ -278,17 +278,23 @@ def load_propagated(path):
     if not records:
         raise FormatError(f"{path}: no records")
     n = len(records)
-    labels = np.empty(n, dtype=np.int64)
-    retrieval = np.empty(n, dtype=np.float64)
-    is_seed = np.zeros(n, dtype=bool)
-    seen = set()
+    seen = bytearray(n)
     schema = {"index": int, "label": int, "retrieval_score": float, "is_seed": bool}
+    index, labels, retrieval, is_seed = [], [], [], []
     for record in records:
         i, label, score, seed = typed(path, "propagation record", record, schema)
-        if not 0 <= i < n or i in seen:
+        if not 0 <= i < n or seen[i]:
             raise FormatError(f"{path}: sample index {i} duplicated or out of range")
-        seen.add(i)
-        labels[i] = label
-        retrieval[i] = score
-        is_seed[i] = seed
-    return labels, retrieval, is_seed
+        seen[i] = 1
+        index.append(i)
+        labels.append(label)
+        retrieval.append(score)
+        is_seed.append(seed)
+    # n distinct indices in range: a permutation, so every slot is filled.
+    index = np.array(index, dtype=np.int64)
+    columns = []
+    for values, dtype in ((labels, np.int64), (retrieval, np.float64), (is_seed, bool)):
+        column = np.empty(n, dtype=dtype)
+        column[index] = values
+        columns.append(column)
+    return tuple(columns)

@@ -25,7 +25,7 @@ from .diffusion import (
     save_propagated,
     save_seeds,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateInputError
 from .features import l2_normalize, load_features, pca_whiten, save_features
 from .fileio import load_truth, save_json, save_truth
 from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
@@ -112,6 +112,11 @@ def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
     if k is None:
         k = auto_k(X.shape[0])
     graph = build_affinity(X, gamma=gamma, k=k)
+    if graph.n > 1 and graph.matrix.nnz == 0:
+        # Whitened data with N <= D + 1 is a regular simplex: every cosine is negative.
+        raise DegenerateInputError(
+            f"{features_path}: no pair of the {graph.n} samples has a positive cosine, "
+            "so the graph has no edges")
     save_graph(out_path, graph)
     neighbors = np.diff(graph.matrix.indptr)
     return {
@@ -273,6 +278,8 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if n_r is None:
+        n_r = default_nr(load_seeds(seeds_path).n_classes)
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):

@@ -149,6 +149,33 @@ class TestExitCodes:
         assert err.startswith("error: gamma=") and "Traceback" not in err, err
         assert not out.exists()
 
+    def test_edgeless_graph_exits_3(self, tmp_path, capsys):
+        # Whitened, 30 samples in 40 dims form a regular simplex: every
+        # cosine is -1/29, so no edge survives at any gamma.
+        features, whitened = narrow_synth(tmp_path, dims=40), tmp_path / "w.relf"
+        assert main(["--quiet", "features", "whiten", "--in", str(features),
+                     "--out", str(whitened)]) == 0
+        out = tmp_path / "g.relg"
+        assert main(["graph", "build", "--features", str(whitened), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no edges" in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_missing_default_nr_exits_2_before_writing(self, tmp_path, capsys):
+        assert main(["--quiet", "synth", "--classes", "3", "--per-class", "10",
+                     "--dims", "8", "--seeds-per-class", "2",
+                     "--out-features", str(tmp_path / "f.relf"),
+                     "--out-truth", str(tmp_path / "t.json"),
+                     "--out-seeds", str(tmp_path / "s.json")]) == 0
+        run = tmp_path / "run"
+        run.mkdir()
+        assert main(["pipeline", "--features", str(tmp_path / "f.relf"),
+                     "--seeds", str(tmp_path / "s.json"), "--truth", str(tmp_path / "t.json"),
+                     "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no default n_r") and "Traceback" not in err, err
+        assert list(run.iterdir()) == []
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["features", "whiten", "--in", str(tmp_path / "absent.relf"),
                      "--out", str(tmp_path / "w.relf")])

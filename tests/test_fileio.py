@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import tempfile
@@ -103,6 +104,63 @@ def test_json_readers_reject_bytes_that_are_not_utf8(tmp_path, load, blob):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="not valid JSON"):
         load(path)
+
+
+def per_line_json(path):
+    """The reference reader: json.loads on each stripped bytes line, which
+    detects that line's encoding. Returns the records or the error text."""
+    records = []
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), start=1):
+        line = line.strip()
+        if line:
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                return f"{path}:{lineno}: not valid JSON: {exc}"
+    return records
+
+
+def jsonl_or_error(path):
+    try:
+        return load_jsonl(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+def assert_reads_like_per_line_json(path):
+    # repr, because a NaN record is not equal to itself
+    assert repr(jsonl_or_error(path)) == repr(per_line_json(path))
+
+
+@pytest.mark.parametrize("blob", [
+    b'{"a": 1}\r\n\r\n {"b": [2, 3.5]}\x0b\n\x0c\n',
+    b'\xef\xbb\xbf{"a": 1}\n{"b": 2}\n',  # a UTF-8 BOM, which json.loads(str) refuses
+    '{"a": 1}'.encode("utf-16-le") + b"\n",  # NUL bytes select UTF-16
+    b'{"\xed\xa0\x80": 1}\n',  # a lone surrogate, UTF-8 encoded
+    b'{"a": "\xc3\xa9\xe2\x80\xa8"}\n',  # U+2028 is a line break to str.splitlines
+    b'{"a": 1}\n{"a" 2}\n',
+    b'{"a": 1}\n\xff\n{"a" 2}\n',
+    b'{"a": 1}\n{"a" 2}\n\xff\n',
+    b"\xc2\xa0{}\n",  # U+00A0 is whitespace to str.strip, not to bytes.strip
+    b"NaN\n[Infinity]\n",
+])
+def test_jsonl_reads_what_per_line_json_loads_reads(tmp_path, blob):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(blob)
+    assert_reads_like_per_line_json(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(
+    st.binary(max_size=12),
+    st.text(max_size=12).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=2)
+    .map(lambda d: json.dumps(d, ensure_ascii=False).encode("utf-8", "surrogatepass")),
+), max_size=5))
+def test_jsonl_property_matches_per_line_json_loads(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    assert_reads_like_per_line_json(path)
 
 
 @pytest.mark.parametrize("kind, value, accepted", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError, IsolatedNodeError
 from relab.features import l2_normalize
 from relab.graph import (
+    _WINDOW_COLS,
     AffinityGraph,
     auto_k,
     build_affinity,
@@ -178,13 +179,17 @@ def assert_same_csr(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def tied_rows(X, k):
+def tied_rows(X, k, chunk=500):
     """Rows whose k-th and (k+1)-th strongest affinities are equal and positive."""
     V = l2_normalize(X)
-    sims = np.clip(V @ V.T, 0.0, None)
-    np.fill_diagonal(sims, 0.0)
-    ranked = -np.sort(-sims, axis=1)
-    return int(np.sum((ranked[:, k - 1] == ranked[:, k]) & (ranked[:, k - 1] > 0.0)))
+    tied = 0
+    for start in range(0, len(V), chunk):
+        sims = np.clip(V[start:start + chunk] @ V.T, 0.0, None)
+        rows = np.arange(start, min(start + chunk, len(V)))
+        sims[rows - start, rows] = 0.0
+        ranked = -np.sort(-sims, axis=1)
+        tied += int(np.sum((ranked[:, k - 1] == ranked[:, k]) & (ranked[:, k - 1] > 0.0)))
+    return tied
 
 
 def integer_directions(n, seed):
@@ -204,6 +209,30 @@ TOPK_INPUTS = {
     "one_block": lambda: np.random.default_rng(4).standard_normal((37, 5)),
     "blocks_and_remainder": lambda: np.random.default_rng(5).standard_normal((3001, 16)),
 }
+
+# Inputs wider than the builder's bound window, at k in (1, 5, 50).
+WINDOW_INPUTS = {
+    "gaussian": lambda: np.random.default_rng(6).standard_normal((4500, 16)),
+    # Four copies of each row, 1125 rows apart: the last copy of rows 721 and
+    # up lies past the window, and every row ties at k = 1, 5 and 50.
+    "window_edge_ties": lambda: np.tile(np.random.default_rng(7).standard_normal((1125, 8)),
+                                        (4, 1)),
+    # 100 orthogonal directions: about 41 positive affinities per row in the
+    # window, so at k = 50 most rows have no positive bound.
+    "one_hot_100": lambda: np.eye(100)[np.random.default_rng(8).integers(0, 100, 4500)],
+}
+
+
+def window_bounds(X, k, chunk=500):
+    """Each row's k-th largest affinity among the first _WINDOW_COLS columns."""
+    V = l2_normalize(X)
+    bounds = []
+    for start in range(0, len(V), chunk):
+        sims = np.clip(V[start:start + chunk] @ V[:_WINDOW_COLS].T, 0.0, None)
+        rows = np.arange(start, min(start + chunk, _WINDOW_COLS))
+        sims[rows - start, rows] = 0.0
+        bounds.append(-np.partition(-sims, k - 1, axis=1)[:, k - 1])
+    return np.concatenate(bounds)
 
 
 class TestTopkMatchesOracle:
@@ -226,6 +255,26 @@ class TestTopkMatchesOracle:
         assert tied_rows(TOPK_INPUTS["duplicated_rows"](), 1) == 600
         X = TOPK_INPUTS["one_hot"]()
         assert (X @ X.T - np.eye(len(X))).sum(axis=1).max() < 50
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_INPUTS))
+    def test_bitwise_equal_past_the_window(self, name):
+        X = WINDOW_INPUTS[name]()
+        for k in (1, 5, 50):
+            assert_same_csr(build_affinity(X, gamma=3.0, k=k).matrix, oracle_topk(X, 3.0, k))
+
+    def test_window_inputs_reach_the_survivor_and_full_paths(self):
+        for name in sorted(WINDOW_INPUTS):
+            assert WINDOW_INPUTS[name]().shape[0] > _WINDOW_COLS, name
+        for name in ("gaussian", "window_edge_ties"):
+            assert window_bounds(WINDOW_INPUTS[name](), 50).min() > 0.0, name
+        # Ties at the k-th value, some of them cut between copies on either
+        # side of the window edge.
+        X = WINDOW_INPUTS["window_edge_ties"]()
+        for k in (1, 5, 50):
+            assert tied_rows(X, k) == X.shape[0], k
+        X = WINDOW_INPUTS["one_hot_100"]()
+        assert window_bounds(X, 5).min() > 0.0
+        assert (window_bounds(X, 50) == 0.0).mean() > 0.5
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
