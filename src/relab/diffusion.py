@@ -183,9 +183,15 @@ def diffuse(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
     or SolverError is raised for the lowest such class, carrying its final
     residual. Y is not modified. When seeds are given, decoded labels are
     forced to the seed classes (retrieval scores stay the row maxima of F).
+    Raises ConfigError unless 0 <= alpha < 1, tol is finite and positive
+    and max_iter >= 1.
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if not max_iter >= 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != graph.n:
         raise DataError(f"label matrix shape {Y.shape} does not match graph n={graph.n}")

@@ -66,12 +66,15 @@ def save_features(path, X):
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DataError("refusing to write non-finite feature values")
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(X, dtype="<f4")
+    if not np.all(np.isfinite(stored)):
+        raise DataError("refusing to write non-finite feature values "
+                        "(float32 holds magnitudes up to 3.4e38)")
     n, d = X.shape
     with atomic_write(path) as handle:
         handle.write(HEADER.pack(RELF_MAGIC, RELF_VERSION, n, d))
-        handle.write(np.ascontiguousarray(X, dtype="<f4").tobytes())
+        handle.write(stored.tobytes())
 
 
 def pca_whiten(X, eps=1e-10):

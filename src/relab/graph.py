@@ -11,22 +11,23 @@ similarities: it computes them in blocks of _BLOCK_ROWS rows with one
 float64 GEMM each, written into a buffer allocated once, and selects each
 block _SELECT_ROWS rows at a time.
 
-Selection first bounds each row's k-th largest affinity from below by the
-k-th largest of its first _WINDOW_COLS columns. Every top-k column, and
-every column tied at the k-th value, is at or above that bound, so only
-those survivors (about 130 of 10k columns on the benchmark data) go on to
-argpartition, packed into a small padded matrix in column order. A slice
-skips the bound and partitions its full rows when the window is not
-narrower than the row, k is not below the window width, or some row's
-bound is not positive (fewer than k positive affinities in its window);
-the dense graph always does.
+Each row keeps only its survivors: the affinities at or above a positive
+bound, packed into a small padded matrix in column order. The bound is the
+smallest positive float, raised to the k-th largest affinity among the
+row's first _WINDOW_COLS columns when k is below the window and the window
+is narrower than the row. That k-th value bounds the row's k-th largest
+from below, so every top-k column, and every column tied at the k-th
+value, survives: about 130 of 10k columns per row on the benchmark data.
+Zeros never survive, so a row whose window holds fewer than k positive
+affinities, or that has no window, keeps its k strongest positive ones.
 
-Either way a row's partitioned set is already the answer when its k-th
-affinity is strictly larger than its (k+1)-th, or is zero (zeros are
-dropped). Only rows tied at a positive k-th affinity fall back to a stable
-sort, so ties keep the lowest column indices; at k = n - 1 every positive
-affinity is kept and no row ties. The kept columns go straight into a CSR
-from per-row counts.
+A slice in which no row has more than k survivors keeps them as they are,
+as the dense graph (k = n - 1) always does. Otherwise each row's
+partitioned set is already the answer when its k-th survivor is strictly
+larger than its (k+1)-th or it has at most k survivors. Only rows tied at
+the k-th affinity fall back to a stable sort, so ties keep the lowest
+column indices. The kept columns go straight into a CSR from per-row
+counts.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .features import l2_normalize
 from .fileio import HEADER, atomic_write, read_binary
 
 DEFAULT_GAMMA = 3.0
-# Dense N^2 storage is kept up to this many nodes; above it the CLI defaults
-# to top-k sparsification.
+# Up to this many nodes the CLI and the pipeline steps keep every positive
+# affinity (k=None); above it they keep DEFAULT_SPARSE_K neighbours.
 DENSE_NODE_LIMIT = 2000
 DEFAULT_SPARSE_K = 50
 
@@ -59,6 +60,8 @@ _SELECT_ROWS = 32
 # from below. The kept set does not depend on it; at N = 10k, 1024 and 2048
 # columns let through enough survivors to be slower than 4096.
 _WINDOW_COLS = 4096
+# The least bound: zeros and negative affinities never survive.
+_MIN_POSITIVE = np.nextafter(0.0, 1.0)
 
 
 @dataclass
@@ -121,13 +124,13 @@ def _topk_affinity(V, gamma, k):
         block[np.arange(stop - start), np.arange(start, stop)] = 0.0
         for lo in range(start, stop, _SELECT_ROWS):
             rows = block[lo - start:lo - start + _SELECT_ROWS]
-            # Each row's k-th largest affinity among its window columns.
-            bound = np.partition(rows[:, :_WINDOW_COLS], _WINDOW_COLS - k,
-                                 axis=1)[:, _WINDOW_COLS - k] if windowed else None
-            if bound is not None and bound.min() > 0.0:
-                row_counts, row_cols, row_vals = _select_survivors(rows, bound, k)
-            else:
-                row_counts, row_cols, row_vals = _select_full(rows, k)
+            bound = _MIN_POSITIVE
+            if windowed:
+                # Each row's k-th largest affinity among its window columns.
+                kth = np.partition(rows[:, :_WINDOW_COLS], _WINDOW_COLS - k,
+                                   axis=1)[:, _WINDOW_COLS - k]
+                bound = np.maximum(kth, _MIN_POSITIVE)[:, None]
+            row_counts, row_cols, row_vals = _select_survivors(rows, bound, k)
             counts[lo:lo + rows.shape[0]] = row_counts
             cols.append(row_cols)
             vals.append(row_vals)
@@ -147,8 +150,7 @@ def _stable_topk(neg, k):
     the set a stable argsort puts first."""
     part = np.argpartition(neg, k, axis=1)
     top = part[:, :k]
-    # initial: a one-row graph has k = 0 and keeps nothing.
-    kth = np.take_along_axis(neg, top, axis=1).max(axis=1, initial=-np.inf)
+    kth = np.take_along_axis(neg, top, axis=1).max(axis=1)
     after = np.take_along_axis(neg, part[:, k:k + 1], axis=1)[:, 0]
     # The partition's set is the stable one unless the k-th value is a
     # positive affinity shared with the (k+1)-th; such rows take the
@@ -158,40 +160,33 @@ def _stable_topk(neg, k):
     return top
 
 
-def _select_full(rows, k):
-    """Per-row counts, columns and affinities of each row's positive top k.
-
-    Selects over every column; overwrites rows.
-    """
-    n = rows.shape[1]
-    np.clip(rows, 0.0, None, out=rows)
-    neg = np.negative(rows, out=rows)  # ascending order = strongest first
-    top = _stable_topk(neg, k)
-    positive = np.take_along_axis(neg, top, axis=1) < 0.0
-    # Dropped columns become n, which sorts after every kept one.
-    top = np.sort(np.where(positive, top, n), axis=1)
-    kept = top < n
-    row_counts = kept.sum(axis=1)
-    row_cols = top[kept]
-    return row_counts, row_cols, -neg[np.repeat(np.arange(neg.shape[0]), row_counts), row_cols]
-
-
 def _select_survivors(rows, bound, k):
-    """_select_full over the columns at or above each row's positive bound.
+    """Each row's kept (count, columns, affinities), columns ascending.
 
-    Each row has at least k survivors, all positive, so it keeps exactly k.
+    The survivors are the entries at or above bound, a positive column of
+    per-row bounds or one bound for every row. A row keeps its k strongest
+    survivors, or all of them when it has at most k.
     """
-    flat = np.flatnonzero(rows >= bound[:, None])
-    r, c = np.divmod(flat, rows.shape[1])
+    m, n = rows.shape
+    flat = np.flatnonzero(rows >= bound)
     x = rows.ravel()[flat]
-    row_counts = np.bincount(r, minlength=rows.shape[0])
-    starts = np.cumsum(row_counts) - row_counts
-    # Survivors packed left in column order. The zero padding never reaches
-    # a row's top k, and k + 1 columns give every row a (k+1)-th entry.
-    neg = np.zeros((rows.shape[0], max(int(row_counts.max()), k + 1)))
-    neg[r, np.arange(flat.size) - starts[r]] = -x
-    top = (starts[:, None] + np.sort(_stable_topk(neg, k), axis=1)).ravel()
-    return np.full(rows.shape[0], k), c[top], x[top]
+    ends = np.searchsorted(flat, np.arange(1, m + 1) * n)
+    row_counts = np.diff(ends, prepend=0)
+    # Columns in place: at k = n - 1 the survivors are the result, and a
+    # row-index temporary beside each slice's kept arrays fragmented the
+    # heap enough to raise the pipeline's peak RSS by 7 MB at N = 2000.
+    c = np.remainder(flat, n, out=flat)
+    if row_counts.max() <= k:
+        return row_counts, c, x
+    starts = ends - row_counts
+    r = np.repeat(np.arange(m), row_counts)
+    # Survivors packed left in column order. The zero padding sorts after
+    # every survivor, and k + 1 columns give every row a (k+1)-th entry.
+    neg = np.zeros((m, max(int(row_counts.max()), k + 1)))
+    neg[r, np.arange(c.size) - starts[r]] = -x
+    top = np.sort(_stable_topk(neg, k), axis=1)
+    top = (starts[:, None] + top)[top < row_counts[:, None]]
+    return np.minimum(row_counts, k), c[top], x[top]
 
 
 def normalize(graph):

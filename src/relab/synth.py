@@ -29,8 +29,8 @@ class SynthConfig:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
         if self.dims < 2:
             raise ConfigError(f"dims must be >= 2, got {self.dims}")
-        if not self.separation > 0:
-            raise ConfigError(f"separation must be positive, got {self.separation}")
+        if not 0 < self.separation < np.inf:
+            raise ConfigError(f"separation must be finite and positive, got {self.separation}")
         if self.imbalance is not None:
             if len(self.imbalance) != self.n_classes:
                 raise ConfigError(

@@ -129,6 +129,19 @@ class TestExitCodes:
         assert err.startswith("error: eps") and "Traceback" not in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                                       ["--tol", "0"], ["--max-iter", "0"],
+                                       ["--max-iter", "-5"]])
+    def test_solver_settings_out_of_range(self, workspace, chained, tmp_path, capsys, flags):
+        out = tmp_path / PROPAGATED_NAME
+        code = main(["propagate", *flags, "--graph", str(chained / GRAPH_NAME),
+                     "--seeds", str(workspace / "seeds.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        name = flags[0][2:].replace("-", "_")
+        assert err.startswith(f"error: {name}") and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_tiny_eps_keeps_no_null_direction(self, tmp_path, capsys):
         features = narrow_synth(tmp_path, dims=40)  # rank 29 once centred
         assert main(["--json", "features", "whiten", "--eps", "1e-300",

@@ -84,6 +84,12 @@ class TestFeatureIO:
         with pytest.raises(DataError):
             save_features(tmp_path / "f.relf", np.array([[np.inf, 0.0]]))
 
+    def test_save_rejects_float32_overflow(self, tmp_path):
+        path = tmp_path / "f.relf"
+        with pytest.raises(DataError):
+            save_features(path, [[1e39, 0.0], [1.0, 2.0]])
+        assert not path.exists()
+
 
 class TestWhitening:
     def test_collinear_three_points(self):

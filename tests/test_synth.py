@@ -18,6 +18,7 @@ class TestSynthConfig:
         {"separation": -2.0},
         {"n_classes": 3, "imbalance": (5, 5)},
         {"n_classes": 2, "imbalance": (5, 0)},
+        {"separation": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
