@@ -62,7 +62,11 @@ def load_features(path):
 
 
 def save_features(path, X):
-    """Write a matrix as a RELF file (values stored as little-endian float32)."""
+    """Write a matrix as a RELF file (values stored as little-endian float32).
+
+    Returns the stored float32 array; widened to float64 it is what
+    load_features reads back.
+    """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X.shape}")
@@ -75,6 +79,13 @@ def save_features(path, X):
     with atomic_write(path) as handle:
         handle.write(HEADER.pack(RELF_MAGIC, RELF_VERSION, n, d))
         handle.write(stored.tobytes())
+    return stored
+
+
+def check_eps(eps):
+    """Raise ConfigError unless 0 < eps < 1."""
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
 
 
 def pca_whiten(X, eps=1e-10):
@@ -86,11 +97,10 @@ def pca_whiten(X, eps=1e-10):
     numerically null directions are dropped, however small eps is). The
     output has zero mean and identity sample covariance on the kept
     components. Uses the D x D covariance eigendecomposition when D <= N
-    and the N x N Gram (dual) path otherwise. Raises ConfigError unless
-    0 < eps < 1.
+    and the N x N Gram (dual) path otherwise. Raises ConfigError for an
+    eps check_eps refuses.
     """
-    if not 0 < eps < 1:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:

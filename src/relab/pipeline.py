@@ -1,9 +1,14 @@
 """End-to-end orchestration: whiten, graph, propagate, select, evaluate.
 
-Each step function reads its inputs from files and writes its outputs to
-files, and the one-shot pipeline is the steps chained through artifacts in
-an output directory. That makes the pipeline byte-identical to running the
-subcommands by hand with the same parameters, which the test suite checks.
+Each step's public ``*_step`` function reads the step's inputs from files
+and hands them to a shared compute part, which works on the values,
+writes the step's artifact and returns the step's summary with the value
+the next step needs. The one-shot pipeline reads its inputs once and hands
+those values along the chain in memory, writing every artifact once and
+reading none back. Each value handed on is what the loader would return
+from the file just written, so the pipeline is byte-identical to running
+the subcommands by hand with the same parameters, which the test suite
+checks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .diffusion import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     build_label_matrix,
+    check_solver,
     diffuse,
     load_propagated,
     load_seeds,
@@ -26,12 +32,14 @@ from .diffusion import (
     save_seeds,
 )
 from .errors import ConfigError, DataError, DegenerateInputError
-from .features import l2_normalize, load_features, pca_whiten, save_features
+from .features import check_eps, l2_normalize, load_features, pca_whiten, save_features
 from .fileio import load_truth, save_json, save_truth
-from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
+from .graph import (DEFAULT_GAMMA, auto_k, build_affinity, check_affinity, load_graph,
+                    normalize, save_graph)
 from .metrics import compare_selection, noise_report
 from .selection import (
     ProbeConfig,
+    check_budget,
     load_reliable,
     save_reliable,
     select_by_retrieval_score,
@@ -94,21 +102,31 @@ def load_config_file(path):
 
 
 def whiten_step(in_path, out_path, eps=1e-10):
-    X = load_features(in_path)
+    return _whiten(load_features(in_path), out_path, eps)[0]
+
+
+def _whiten(X, out_path, eps):
+    """Whiten X and write it; returns (summary, the written matrix as
+    load_features reads it back: float32-rounded, widened to float64)."""
     whitened, stats = pca_whiten(X, eps=eps)
-    save_features(out_path, whitened)
+    whitened = save_features(out_path, whitened)
     return {
         "step": "whiten",
-        "n": int(X.shape[0]),
-        "dims_in": int(X.shape[1]),
+        "n": X.shape[0],
+        "dims_in": X.shape[1],
         "dims_kept": stats.kept,
         "out": str(out_path),
-    }
+    }, whitened.astype(np.float64)
 
 
 def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
     """Build and write the affinity graph; k=None applies auto_k to the sample count."""
-    X = load_features(features_path)
+    return _graph(load_features(features_path), features_path, out_path, gamma, k)[0]
+
+
+def _graph(X, features_path, out_path, gamma, k):
+    """Build the graph over X (read from features_path) and write it;
+    returns (summary, graph)."""
     if k is None:
         k = auto_k(X.shape[0])
     graph = build_affinity(X, gamma=gamma, k=k)
@@ -117,6 +135,7 @@ def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
         raise DegenerateInputError(
             f"{features_path}: no pair of the {graph.n} samples has a positive cosine, "
             "so the graph has no edges")
+    # Sorts the CSR and drops duplicates and zeros in place, as load_graph returns it.
     save_graph(out_path, graph)
     neighbors = np.diff(graph.matrix.indptr)
     return {
@@ -129,7 +148,7 @@ def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
         "gamma": gamma,
         "k": k,
         "out": str(out_path),
-    }
+    }, graph
 
 
 def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
@@ -148,9 +167,19 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
         raise ConfigError("nearest-neighbor propagation needs a features file (--features)")
     seeds = load_seeds(seeds_path)
     if method == "diffusion":
-        graph = normalize(load_graph(graph_path))
-        Y = build_label_matrix(seeds, graph.n)
-        result = diffuse(graph, Y, alpha=alpha, tol=tol, max_iter=max_iter, seeds=seeds)
+        source = normalize(load_graph(graph_path))
+    else:
+        source = load_features(features_path)
+    return _propagate(seeds, source, out_path, method, alpha, tol, max_iter)[0]
+
+
+def _propagate(seeds, source, out_path, method, alpha, tol, max_iter):
+    """Propagate over source, the normalized graph for "diffusion" and the
+    features for "nn", and write the labels; returns (summary, labels,
+    retrieval scores)."""
+    if method == "diffusion":
+        Y = build_label_matrix(seeds, source.n)
+        result = diffuse(source, Y, alpha=alpha, tol=tol, max_iter=max_iter, seeds=seeds)
         labels, retrieval = result.labels, result.retrieval_score
         its = result.iterations
         extra = {"alpha": alpha, "residual": result.residual,
@@ -158,8 +187,7 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
                                    "max": int(its.max())},
                  "zero_rows": len(result.zero_rows)}
     else:
-        X = load_features(features_path)
-        labels, retrieval = nn_propagate(X, seeds)
+        labels, retrieval = nn_propagate(source, seeds)
         extra = {}
     save_propagated(out_path, labels, retrieval, seeds)
     return {
@@ -170,7 +198,7 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
         "n_seeds": len(seeds),
         "out": str(out_path),
         **extra,
-    }
+    }, labels, retrieval
 
 
 def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
@@ -188,10 +216,17 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
     seeds.check_fits(labels.shape[0])
     if n_r is None:
         n_r = default_nr(seeds.n_classes)
+    unit = l2_normalize(load_features(features_path)) if strategy == "small-loss" else None
+    return _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe)[0]
+
+
+def _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe):
+    """Select by strategy and write the reliable set; returns (summary,
+    ReliableSet). unit holds the L2-normalized features the small-loss
+    probe trains on; retrieval-score does not read it."""
     if strategy == "small-loss":
-        X = l2_normalize(load_features(features_path))
         cfg = probe if probe is not None else ProbeConfig()
-        trace = train_probe(X, labels, cfg, n_classes=seeds.n_classes)
+        trace = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
         rset = select_reliable(trace, labels, seeds, n_r)
     else:
         rset = select_by_retrieval_score(labels, retrieval, seeds, n_r)
@@ -204,7 +239,7 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
         "target_per_class": rset.target_per_class,
         "warnings": list(rset.warnings),
         "out": str(out_path),
-    }
+    }, rset
 
 
 def evaluate_step(predicted_path, truth_path, out_path, reliable_path=None):
@@ -216,15 +251,32 @@ def evaluate_step(predicted_path, truth_path, out_path, reliable_path=None):
     """
     labels, _, _ = load_propagated(predicted_path)
     truth = load_truth(truth_path)
-    if truth.shape != labels.shape:
-        raise DataError(f"{truth_path}: {truth.size} truth labels for {labels.size} samples")
+    _check_truth(truth, labels.size, truth_path)
+    return _evaluate(labels, truth, out_path,
+                     lambda: None if reliable_path is None else load_reliable(reliable_path))
+
+
+def _check_truth(truth, n, truth_path):
+    if truth.shape != (n,):
+        raise DataError(f"{truth_path}: {truth.size} truth labels for {n} samples")
+
+
+def _evaluate(labels, truth, out_path, reliable):
+    """Write the report of labels against truth, which holds one class per
+    sample, and nest the report of the set reliable() returns unless that
+    is None; returns the summary.
+
+    reliable() runs once the labels are scored: reading the reliable file
+    before that raised the peak RSS of repeated propagate -> select ->
+    evaluate rounds (N = 10k, C = 100) by about 1 MB.
+    """
     n_classes = max(int(labels.max()), int(truth.max())) + 1
     if n_classes > labels.size:  # propagate refuses more classes than samples
         raise DataError(f"class index {n_classes - 1} out of range for {labels.size} samples")
     report = noise_report(labels, truth, n_classes)
     doc = report.to_dict()
-    if reliable_path is not None:
-        rset = load_reliable(reliable_path)
+    rset = reliable()
+    if rset is not None:
         doc["reliable"] = compare_selection(rset, truth, n_classes).to_dict()
     save_json(out_path, doc)
     return {"step": "evaluate", "out": str(out_path), **doc}
@@ -270,36 +322,56 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
                  strategy="small-loss", probe=None):
     """Run whiten -> graph -> propagate -> select (-> evaluate) into out_dir.
 
-    Every intermediate is written to, then read back from, out_dir, so the
-    artifacts match a manual chain of the subcommands exactly. Returns the
-    list of per-step summaries.
+    The raw features, the seeds and the truth are read once, and every
+    option the run uses is checked against them before out_dir is created. Each step
+    then hands its result to the next in memory, through the same compute
+    part its subcommand runs: every artifact is written once and none is
+    read back. The values handed on are what the loaders would return
+    from the files just written, so the artifacts and step summaries match
+    a manual chain of the subcommands exactly. Returns the list of
+    per-step summaries.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    X = load_features(features_path)
+    seeds = load_seeds(seeds_path)
+    truth = None if truth_path is None else load_truth(truth_path)
+    n = X.shape[0]
+    check_eps(eps)
+    seeds.check_fits(n)
+    if method == "diffusion":
+        check_affinity(n, gamma, auto_k(n) if k is None else k)
+        check_solver(alpha, tol, max_iter)
     if n_r is None:
-        n_r = default_nr(load_seeds(seeds_path).n_classes)
+        n_r = default_nr(seeds.n_classes)
+    check_budget(seeds, n_r)
+    if truth is not None:
+        _check_truth(truth, n, truth_path)
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
         return os.path.join(out_dir, name)
 
-    steps = [whiten_step(features_path, path(WHITENED_NAME), eps=eps)]
+    # Between steps at most one feature matrix and one graph are alive: each
+    # rebinding or del below drops a value no later step reads.
+    summary, X = _whiten(X, path(WHITENED_NAME), eps)
+    steps = [summary]
+    source = X
     if method == "diffusion":
-        steps.append(graph_step(path(WHITENED_NAME), path(GRAPH_NAME), gamma=gamma, k=k))
-    steps.append(propagate_step(
-        seeds_path, path(PROPAGATED_NAME), graph_path=path(GRAPH_NAME),
-        features_path=path(WHITENED_NAME), alpha=alpha, tol=tol, max_iter=max_iter,
-        method=method,
-    ))
-    steps.append(select_step(
-        path(WHITENED_NAME), path(PROPAGATED_NAME), seeds_path, path(RELIABLE_NAME),
-        n_r=n_r, strategy=strategy, probe=probe,
-    ))
-    if truth_path is not None:
-        steps.append(evaluate_step(
-            path(PROPAGATED_NAME), truth_path, path(REPORT_NAME),
-            reliable_path=path(RELIABLE_NAME),
-        ))
+        summary, graph = _graph(X, path(WHITENED_NAME), path(GRAPH_NAME), gamma, k)
+        steps.append(summary)
+        source = normalize(graph)
+        del graph
+    summary, labels, retrieval = _propagate(seeds, source, path(PROPAGATED_NAME), method,
+                                            alpha, tol, max_iter)
+    steps.append(summary)
+    del source
+    X = l2_normalize(X) if strategy == "small-loss" else None
+    summary, rset = _select(X, labels, retrieval, seeds, path(RELIABLE_NAME), n_r,
+                            strategy, probe)
+    steps.append(summary)
+    if truth is not None:
+        steps.append(_evaluate(labels, truth, path(REPORT_NAME), lambda: rset))
     return steps

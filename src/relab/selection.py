@@ -160,21 +160,29 @@ def train_probe(X, labels, cfg, n_classes=None):
     return LossTrace(window_losses=window, averaged_loss=window.mean(axis=0))
 
 
+def check_budget(seeds, n_r):
+    """The per-class target n_r / C. Raises ConfigError unless C divides n_r
+    and the target holds every class's seeds."""
+    c = seeds.n_classes
+    if n_r % c != 0:
+        raise ConfigError(f"n_r={n_r} is not divisible by n_classes={c}")
+    target = n_r // c
+    largest = max((len(g) for g in seeds.per_class_indices().values()), default=0)
+    if target < largest:
+        raise ConfigError(
+            f"n_r/C={target} is below the largest per-class seed count {largest}"
+        )
+    return target
+
+
 def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     n = labels.shape[0]
     seeds.check_fits(n)
     c = seeds.n_classes
-    if n_r % c != 0:
-        raise ConfigError(f"n_r={n_r} is not divisible by n_classes={c}")
-    target = n_r // c
+    target = check_budget(seeds, n_r)
     seed_groups = seeds.per_class_indices()
-    largest = max((len(g) for g in seed_groups.values()), default=0)
-    if target < largest:
-        raise ConfigError(
-            f"n_r/C={target} is below the largest per-class seed count {largest}"
-        )
 
     is_seed = np.zeros(n, dtype=bool)
     is_seed[list(seeds.assignments)] = True

@@ -58,30 +58,57 @@ def narrow_synth(root, dims):
     return path
 
 
+def chain_steps(root, out, flags=None):
+    """The pipeline spelled out as subcommand argvs, each step's extra flags
+    taken from flags[step]; `--method nn` in the propagate flags drops the
+    graph step."""
+    flags = flags or {}
+    nn = flags.get("propagate", [])[-1:] == ["nn"]
+    source = (["--features", str(out / WHITENED_NAME)] if nn
+              else ["--graph", str(out / GRAPH_NAME)])
+    steps = {
+        "whiten": ["features", "whiten",
+                   "--in", str(root / "features.relf"), "--out", str(out / WHITENED_NAME)],
+        "graph": ["graph", "build",
+                  "--features", str(out / WHITENED_NAME), "--out", str(out / GRAPH_NAME)],
+        "propagate": ["propagate", *source, "--seeds", str(root / "seeds.json"),
+                      "--out", str(out / PROPAGATED_NAME)],
+        "select": ["select", "--features", str(out / WHITENED_NAME),
+                   "--propagated", str(out / PROPAGATED_NAME),
+                   "--seeds", str(root / "seeds.json"), "--nr", "40",
+                   "--out", str(out / RELIABLE_NAME)],
+        "evaluate": ["evaluate", "--predicted", str(out / PROPAGATED_NAME),
+                     "--truth", str(root / "truth.json"),
+                     "--reliable", str(out / RELIABLE_NAME), "--out", str(out / REPORT_NAME)],
+    }
+    if nn:
+        del steps["graph"]
+    return [argv + flags.get(name, []) for name, argv in steps.items()]
+
+
 def run_chain(root, out):
     """The pipeline spelled out as individual subcommands."""
     out.mkdir(exist_ok=True)
-    steps = [
-        ["--quiet", "features", "whiten",
-         "--in", str(root / "features.relf"), "--out", str(out / WHITENED_NAME)],
-        ["--quiet", "graph", "build",
-         "--features", str(out / WHITENED_NAME), "--out", str(out / GRAPH_NAME)],
-        ["--quiet", "propagate",
-         "--graph", str(out / GRAPH_NAME), "--seeds", str(root / "seeds.json"),
-         "--out", str(out / PROPAGATED_NAME)],
-        ["--quiet", "select",
-         "--features", str(out / WHITENED_NAME),
-         "--propagated", str(out / PROPAGATED_NAME),
-         "--seeds", str(root / "seeds.json"), "--nr", "40",
-         "--out", str(out / RELIABLE_NAME)],
-        ["--quiet", "evaluate",
-         "--predicted", str(out / PROPAGATED_NAME),
-         "--truth", str(root / "truth.json"),
-         "--reliable", str(out / RELIABLE_NAME),
-         "--out", str(out / REPORT_NAME)],
-    ]
-    for argv in steps:
-        assert main(argv) == 0
+    for argv in chain_steps(root, out):
+        assert main(["--quiet", *argv]) == 0
+
+
+# Pipeline inputs refused before --out-dir is created: (extra flags or an
+# edited input file, exit code, message).
+PIPELINE_REFUSALS = {
+    "alpha": (["--alpha", "1"], 2, "alpha must satisfy 0 <= alpha < 1"),
+    "tol": (["--tol", "-1"], 2, "tol must be finite and positive"),
+    "max-iter": (["--max-iter", "0"], 2, "max_iter must be >= 1"),
+    "gamma": (["--gamma", "0"], 2, "gamma must be positive"),
+    "k-zero": (["--k", "0"], 2, "k must satisfy 1 <= k < n_samples=120"),
+    "k-above-n": (["--k", "20000"], 2, "k must satisfy 1 <= k < n_samples=120"),
+    "nr-indivisible": (["--nr", "41"], 2, "n_r=41 is not divisible by n_classes=4"),
+    "nr-below-seeds": (["--nr", "8"], 2,
+                       "n_r/C=2 is below the largest per-class seed count 3"),
+    "seed-index": ("seed index 5000", 3, "seed index 5000 out of range for 120 samples"),
+    "eps": (["--eps", "2"], 2, "eps must lie in (0, 1)"),
+    "truth-length": ("short truth", 3, "truth.json: 119 truth labels for 120 samples"),
+}
 
 
 class TestExitCodes:
@@ -188,6 +215,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: no default n_r") and "Traceback" not in err, err
         assert list(run.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, code, message", PIPELINE_REFUSALS.values(),
+                             ids=PIPELINE_REFUSALS)
+    def test_pipeline_checks_options_before_creating_out_dir(self, workspace, tmp_path,
+                                                             capsys, flags, code, message):
+        seeds, truth = workspace / "seeds.json", workspace / "truth.json"
+        if flags == "seed index 5000":
+            doc = json.loads(seeds.read_text())
+            doc["seeds"][0]["index"] = 5000
+            seeds, flags = tmp_path / "seeds.json", []
+            seeds.write_text(json.dumps(doc))
+        elif flags == "short truth":
+            truth, flags = tmp_path / "truth.json", []
+            truth.write_text(json.dumps(json.loads((workspace / "truth.json").read_text())[1:]))
+        nr = [] if "--nr" in flags else ["--nr", "40"]
+        run = tmp_path / "run"
+        assert main(["pipeline", "--features", str(workspace / "features.relf"),
+                     "--seeds", str(seeds), "--truth", str(truth), *nr, *flags,
+                     "--out-dir", str(run)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+        assert not run.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["features", "whiten", "--in", str(tmp_path / "absent.relf"),
@@ -471,20 +520,42 @@ class TestConfigFile:
             assert err.startswith("error: "), err
 
 
+# Per-step extra flags of a pipeline run and of its subcommand chain.
+CHAIN_VARIANTS = {
+    "default": {},
+    "k5": {"graph": ["--k", "5"]},
+    "nn": {"propagate": ["--method", "nn"]},
+    "retrieval-score": {"select": ["--strategy", "retrieval-score"]},
+}
+
+
 class TestComposition:
-    def test_pipeline_matches_chained_subcommands(self, workspace, tmp_path):
-        pipe_dir = tmp_path / "pipe"
-        chain_dir = tmp_path / "chain"
-        code = main(["--quiet", "pipeline",
+    @pytest.mark.parametrize("flags", CHAIN_VARIANTS.values(), ids=CHAIN_VARIANTS)
+    def test_pipeline_matches_chained_subcommands(self, workspace, tmp_path, capsys, flags):
+        pipe_dir, chain_dir = tmp_path / "pipe", tmp_path / "chain"
+        assert main(["--json", "pipeline",
                      "--features", str(workspace / "features.relf"),
                      "--seeds", str(workspace / "seeds.json"),
                      "--truth", str(workspace / "truth.json"),
-                     "--nr", "40", "--out-dir", str(pipe_dir)])
-        assert code == 0
-        run_chain(workspace, chain_dir)
-        names = [WHITENED_NAME, GRAPH_NAME, PROPAGATED_NAME, RELIABLE_NAME, REPORT_NAME]
+                     "--nr", "40", "--out-dir", str(pipe_dir),
+                     *[flag for step in flags.values() for flag in step]]) == 0
+        piped = json.loads(capsys.readouterr().out)
+        chain_dir.mkdir()
+        chained = []
+        for argv in chain_steps(workspace, chain_dir, flags):
+            assert main(["--json", *argv]) == 0
+            chained.append(json.loads(capsys.readouterr().out))
+        names = sorted(os.listdir(pipe_dir))
+        assert names == sorted(os.listdir(chain_dir))
+        assert {WHITENED_NAME, PROPAGATED_NAME, RELIABLE_NAME, REPORT_NAME} <= set(names)
         for name in names:
             assert (pipe_dir / name).read_bytes() == (chain_dir / name).read_bytes(), name
+
+        def without_out(steps):
+            return [{key: value for key, value in step.items() if key != "out"}
+                    for step in steps]
+
+        assert without_out(piped) == without_out(chained)
 
     def test_pipeline_leaves_inputs_untouched(self, workspace, tmp_path):
         before = {

@@ -1,9 +1,14 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+import relab.pipeline
+from relab.diffusion import load_propagated
 from relab.errors import ConfigError
+from relab.features import l2_normalize, load_features
+from relab.graph import load_graph
 from relab.pipeline import (
     GRAPH_NAME,
     PROPAGATED_NAME,
@@ -122,3 +127,76 @@ class TestRunPipeline:
             synth_step(str(tmp_path / "f.relf"), str(tmp_path / "t.json"),
                        n_classes=2, per_class=3, dims=4,
                        out_seeds=str(tmp_path / "s.json"), seeds_per_class=None)
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """A 3-class, 60-sample synth fixture with 2 seeds per class."""
+    data = tmp_path_factory.mktemp("pipeline-data")
+    synth_step(str(data / "features.relf"), str(data / "truth.json"),
+               n_classes=3, per_class=20, dims=6, separation=6.0, rng_seed=3,
+               out_seeds=str(data / "seeds.json"), seeds_per_class=2)
+    return data
+
+
+def run_fixture(data, out, **options):
+    return run_pipeline(str(data / "features.relf"), str(data / "seeds.json"), str(out),
+                        truth_path=str(data / "truth.json"), n_r=12, **options)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInMemoryChain:
+    @pytest.mark.parametrize("options", [{}, {"method": "nn"},
+                                         {"strategy": "retrieval-score"}], ids=str)
+    def test_reads_back_nothing_it_wrote(self, fixture_files, tmp_path, monkeypatch, options):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_pipeline read back an artifact")
+
+        for name in ("load_graph", "load_propagated", "load_reliable"):
+            monkeypatch.setattr(relab.pipeline, name, refuse)
+        calls = {"load_features": [], "load_seeds": []}
+        for name, paths in calls.items():
+            def counted(path, _fn=getattr(relab.pipeline, name), _paths=paths):
+                _paths.append(str(path))
+                return _fn(path)
+            monkeypatch.setattr(relab.pipeline, name, counted)
+        steps = run_fixture(fixture_files, tmp_path / "run", **options)
+        assert steps[-1]["step"] == "evaluate"
+        assert calls == {"load_features": [str(fixture_files / "features.relf")],
+                         "load_seeds": [str(fixture_files / "seeds.json")]}
+
+    @pytest.mark.parametrize("strategy", ["small-loss", "retrieval-score"])
+    def test_values_passed_on_equal_the_written_files(self, fixture_files, tmp_path,
+                                                      monkeypatch, strategy):
+        seen = {}
+        for name in ("build_affinity", "normalize", "train_probe",
+                     "select_by_retrieval_score", "compare_selection"):
+            def spy(*args, _fn=getattr(relab.pipeline, name), _name=name, **kwargs):
+                seen[_name] = copy.deepcopy(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(relab.pipeline, name, spy)
+        out = tmp_path / "run"
+        run_fixture(fixture_files, out, strategy=strategy)
+
+        whitened = load_features(out / WHITENED_NAME)
+        assert same_bits(seen["build_affinity"][0], whitened)
+        written, passed = load_graph(out / GRAPH_NAME).matrix, seen["normalize"][0].matrix
+        for name in ("indptr", "indices", "data"):
+            assert same_bits(getattr(passed, name), getattr(written, name)), name
+        labels, retrieval, _ = load_propagated(out / PROPAGATED_NAME)
+        if strategy == "small-loss":
+            unit, probe_labels = seen["train_probe"][:2]
+            assert same_bits(unit, l2_normalize(whitened))
+            assert same_bits(probe_labels, labels)
+        else:
+            assert same_bits(seen["select_by_retrieval_score"][0], labels)
+            assert same_bits(seen["select_by_retrieval_score"][1], retrieval)
+        passed, written = seen["compare_selection"][0], load_reliable(out / RELIABLE_NAME)
+        assert passed.entries == written.entries
+        assert same_bits(passed.per_class_count, written.per_class_count)
+        assert (passed.target_per_class, passed.score_kind, passed.warnings) == (
+            written.target_per_class, written.score_kind, written.warnings)
