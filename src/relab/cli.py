@@ -201,8 +201,8 @@ def propagate(ctx, **options):
 
 
 @cli.command()
-@click.option("--features", "features_path", metavar="PATH", required=True,
-              help="whitened features (RELF)")
+@click.option("--features", "features_path", metavar="PATH",
+              help="whitened features (RELF), needed by --strategy small-loss")
 @click.option("--propagated", "propagated_path", metavar="PATH", required=True)
 @click.option("--seeds", "seeds_path", metavar="PATH", required=True)
 @_SELECT_OPTIONS

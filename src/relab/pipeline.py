@@ -206,24 +206,30 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
     """Build the reliable set from propagated labels and write it.
 
     Features are L2-normalized before probe training (the probe sees the
-    same geometry the affinity graph used). n_r=None picks the standard
-    size for the class count when one exists.
+    same geometry the affinity graph used); strategy "small-loss" needs
+    features_path and "retrieval-score" never reads it. n_r=None picks
+    the standard size for the class count when one exists.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if strategy == "small-loss" and features_path is None:
+        raise ConfigError("small-loss selection needs a features file (--features)")
     seeds = load_seeds(seeds_path)
     labels, retrieval, _ = load_propagated(propagated_path)
     seeds.check_fits(labels.shape[0])
     if n_r is None:
         n_r = default_nr(seeds.n_classes)
-    unit = l2_normalize(load_features(features_path)) if strategy == "small-loss" else None
+    unit = (l2_normalize(load_features(features_path)).astype(np.float32)
+            if strategy == "small-loss" else None)
     return _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe)[0]
 
 
 def _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe):
     """Select by strategy and write the reliable set; returns (summary,
     ReliableSet). unit holds the L2-normalized features the small-loss
-    probe trains on; retrieval-score does not read it."""
+    probe trains on, already cast to the probe's float32 so that no
+    float64 copy stays alive while it trains; retrieval-score does not
+    read it."""
     if strategy == "small-loss":
         cfg = probe if probe is not None else ProbeConfig()
         trace = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
@@ -341,6 +347,8 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     n = X.shape[0]
     check_eps(eps)
     seeds.check_fits(n)
+    if len(seeds) == 0:
+        raise DegenerateInputError(f"{seeds_path}: the seeds file holds no seed")
     if method == "diffusion":
         check_affinity(n, gamma, auto_k(n) if k is None else k)
         check_solver(alpha, tol, max_iter)
@@ -368,7 +376,13 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
                                             alpha, tol, max_iter)
     steps.append(summary)
     del source
-    X = l2_normalize(X) if strategy == "small-loss" else None
+    if strategy == "small-loss":
+        # Two statements, so the whitened and normalized float64 matrices
+        # are never alive beside the float32 copy the probe trains on.
+        X = l2_normalize(X)
+        X = X.astype(np.float32)
+    else:
+        X = None
     summary, rset = _select(X, labels, retrieval, seeds, path(RELIABLE_NAME), n_r,
                             strategy, probe)
     steps.append(summary)

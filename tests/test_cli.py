@@ -93,8 +93,8 @@ def run_chain(root, out):
         assert main(["--quiet", *argv]) == 0
 
 
-# Pipeline inputs refused before --out-dir is created: (extra flags or an
-# edited input file, exit code, message).
+# Pipeline inputs refused before --out-dir is created: (extra flags, led
+# by the name of an input file edit where one applies, exit code, message).
 PIPELINE_REFUSALS = {
     "alpha": (["--alpha", "1"], 2, "alpha must satisfy 0 <= alpha < 1"),
     "tol": (["--tol", "-1"], 2, "tol must be finite and positive"),
@@ -105,9 +105,13 @@ PIPELINE_REFUSALS = {
     "nr-indivisible": (["--nr", "41"], 2, "n_r=41 is not divisible by n_classes=4"),
     "nr-below-seeds": (["--nr", "8"], 2,
                        "n_r/C=2 is below the largest per-class seed count 3"),
-    "seed-index": ("seed index 5000", 3, "seed index 5000 out of range for 120 samples"),
+    "seed-index": (["seed index 5000"], 3, "seed index 5000 out of range for 120 samples"),
     "eps": (["--eps", "2"], 2, "eps must lie in (0, 1)"),
-    "truth-length": ("short truth", 3, "truth.json: 119 truth labels for 120 samples"),
+    "truth-length": (["short truth"], 3, "truth.json: 119 truth labels for 120 samples"),
+    "no-seeds": (["no seeds"], 3, "seeds.json: the seeds file holds no seed"),
+    "no-seeds-nn": (["no seeds", "--method", "nn"], 3, "the seeds file holds no seed"),
+    "no-seeds-retrieval-score": (["no seeds", "--strategy", "retrieval-score"], 3,
+                                 "the seeds file holds no seed"),
 }
 
 
@@ -221,13 +225,17 @@ class TestExitCodes:
     def test_pipeline_checks_options_before_creating_out_dir(self, workspace, tmp_path,
                                                              capsys, flags, code, message):
         seeds, truth = workspace / "seeds.json", workspace / "truth.json"
-        if flags == "seed index 5000":
+        edit = flags[0]
+        if edit in ("seed index 5000", "no seeds"):
             doc = json.loads(seeds.read_text())
-            doc["seeds"][0]["index"] = 5000
-            seeds, flags = tmp_path / "seeds.json", []
+            if edit == "no seeds":
+                doc["seeds"] = []
+            else:
+                doc["seeds"][0]["index"] = 5000
+            seeds, flags = tmp_path / "seeds.json", flags[1:]
             seeds.write_text(json.dumps(doc))
-        elif flags == "short truth":
-            truth, flags = tmp_path / "truth.json", []
+        elif edit == "short truth":
+            truth, flags = tmp_path / "truth.json", flags[1:]
             truth.write_text(json.dumps(json.loads((workspace / "truth.json").read_text())[1:]))
         nr = [] if "--nr" in flags else ["--nr", "40"]
         run = tmp_path / "run"
@@ -587,6 +595,24 @@ class TestComposition:
                      "--out", str(tmp_path / "p.jsonl")])
         assert code == 2
         assert "--graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, code", [("small-loss", 2), ("retrieval-score", 0)])
+    def test_select_features_needed_by_small_loss_only(self, workspace, chained, tmp_path,
+                                                       capsys, strategy, code):
+        argv = ["--quiet", "select", "--strategy", strategy,
+                "--propagated", str(chained / PROPAGATED_NAME),
+                "--seeds", str(workspace / "seeds.json"), "--nr", "40"]
+        out = tmp_path / "r.jsonl"
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "--features" in err, err
+            assert not out.exists()
+        else:
+            with_features = tmp_path / "with-features.jsonl"
+            assert main([*argv, "--features", str(chained / WHITENED_NAME),
+                         "--out", str(with_features)]) == 0
+            assert out.read_bytes() == with_features.read_bytes()
 
     def test_select_retrieval_strategy(self, workspace, tmp_path, capsys):
         out = tmp_path / "chain"

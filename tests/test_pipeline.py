@@ -190,7 +190,7 @@ class TestInMemoryChain:
         labels, retrieval, _ = load_propagated(out / PROPAGATED_NAME)
         if strategy == "small-loss":
             unit, probe_labels = seen["train_probe"][:2]
-            assert same_bits(unit, l2_normalize(whitened))
+            assert same_bits(unit, l2_normalize(whitened).astype(np.float32))
             assert same_bits(probe_labels, labels)
         else:
             assert same_bits(seen["select_by_retrieval_score"][0], labels)

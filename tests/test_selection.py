@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relab
+from relab.diffusion import load_propagated, load_seeds
 from relab.errors import (
     ConfigError,
     DataError,
@@ -10,6 +16,8 @@ from relab.errors import (
     FormatError,
     TrainingDivergedError,
 )
+from relab.features import l2_normalize, load_features
+from relab.pipeline import PROPAGATED_NAME, WHITENED_NAME, run_pipeline, synth_step
 from relab.selection import (
     ORIGIN_BOOTSTRAPPED,
     ORIGIN_SEED,
@@ -25,6 +33,51 @@ from relab.selection import (
 )
 
 from conftest import seeds_of, two_cluster_features
+
+
+def float64_probe(X, labels, cfg, n_classes):
+    """The probe's float64 training loop, kept as the oracle for the
+    float32 one: two exps and a log per batch, and the full-set loss
+    through a float64 log-sum-exp in the window epochs."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, d = X.shape
+    rng = np.random.default_rng(cfg.rng_seed)
+    W = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+    vW = np.zeros_like(W)
+    vb = np.zeros_like(b)
+    rows = np.arange(n)
+    first_window_epoch = cfg.epochs - cfg.average_window
+    window = np.empty((cfg.average_window, n))
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            Xb = X[batch]
+            Z = Xb @ W
+            Z += b
+            Z -= Z.max(axis=1, keepdims=True)
+            Z -= np.log(np.exp(Z).sum(axis=1, keepdims=True))
+            P = np.exp(Z, out=Z)
+            P[np.arange(batch.size), labels[batch]] -= 1.0
+            P /= batch.size
+            vW *= cfg.momentum
+            vW -= cfg.learning_rate * (Xb.T @ P)
+            vb *= cfg.momentum
+            vb -= cfg.learning_rate * P.sum(axis=0)
+            W += vW
+            b += vb
+        if epoch < first_window_epoch:
+            continue
+        Z = X @ W
+        Z += b
+        Z -= Z.max(axis=1, keepdims=True)
+        losses = Z[rows, labels]
+        losses -= np.log(np.exp(Z).sum(axis=1))
+        np.negative(losses, out=losses)
+        window[epoch - first_window_epoch] = losses
+    return LossTrace(window_losses=window, averaged_loss=window.mean(axis=0))
 
 
 def trace_from(losses):
@@ -127,6 +180,76 @@ class TestTrainProbe:
         X = rng.standard_normal((4, 2))
         with pytest.raises(DataError):
             train_probe(X, np.array([0, 1, 2, 3]), ProbeConfig(), n_classes=3)
+
+
+# (classes, per class, dims, n_r) of pipeline runs whose whitened features
+# and propagated labels feed the probe: the README run and a small C = 100 run.
+ORACLE_FIXTURES = {"readme": (10, 100, 32, 500), "c100": (100, 12, 128, 800)}
+
+
+@pytest.fixture(scope="module", params=ORACLE_FIXTURES.values(), ids=ORACLE_FIXTURES)
+def probe_inputs(request, tmp_path_factory):
+    """(L2-normalized whitened features, propagated labels, seeds) of a
+    `relab synth` + `relab pipeline` run with separation 6 and 4 seeds per
+    class."""
+    classes, per_class, dims, n_r = request.param
+    root = tmp_path_factory.mktemp("probe-inputs")
+    synth_step(root / "features.relf", root / "truth.json", n_classes=classes,
+               per_class=per_class, dims=dims, separation=6.0,
+               out_seeds=root / "seeds.json", seeds_per_class=4)
+    run_pipeline(root / "features.relf", root / "seeds.json", root / "run", n_r=n_r,
+                 strategy="retrieval-score")
+    labels, _, _ = load_propagated(root / "run" / PROPAGATED_NAME)
+    unit = l2_normalize(load_features(root / "run" / WHITENED_NAME))
+    return unit, labels, load_seeds(root / "seeds.json"), n_r
+
+
+class TestFloat32ProbeMatchesOracle:
+    def test_averaged_loss_and_selection(self, probe_inputs):
+        unit, labels, seeds, n_r = probe_inputs
+        cfg = ProbeConfig()
+        trace = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
+        oracle = float64_probe(unit, labels, cfg, seeds.n_classes)
+        assert np.max(np.abs(trace.averaged_loss - oracle.averaged_loss)) <= 1e-4
+        picked = select_reliable(trace, labels, seeds, n_r)
+        expected = select_reliable(oracle, labels, seeds, n_r)
+        assert ([(e.index, e.label, e.origin) for e in picked.entries]
+                == [(e.index, e.label, e.origin) for e in expected.entries])
+        assert picked.per_class_count.tolist() == expected.per_class_count.tolist()
+
+
+# Trains the probe on N = 12k, C = 100, D = 128 synth features with 30% of
+# the labels redrawn at random and writes averaged_loss's bytes to argv[1].
+THREADED_PROBE = """
+import sys
+import numpy as np
+from relab.features import l2_normalize
+from relab.selection import ProbeConfig, train_probe
+from relab.synth import SynthConfig, generate
+X, truth = generate(SynthConfig(n_classes=100, per_class=120, dims=128, separation=6.0))
+rng = np.random.default_rng(0)
+noisy = np.where(rng.random(truth.size) < 0.3, rng.integers(0, 100, truth.size), truth)
+trace = train_probe(l2_normalize(X), noisy, ProbeConfig(), n_classes=100)
+with open(sys.argv[1], "wb") as handle:
+    handle.write(trace.averaged_loss.tobytes())
+"""
+
+
+class TestProbeBitsIgnoreThreads:
+    def test_one_and_two_blas_threads_agree(self, tmp_path):
+        package_parent = str(Path(relab.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            p for p in [package_parent, os.environ.get("PYTHONPATH", "")] if p)
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.bin"
+            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", THREADED_PROBE, str(out)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(out.read_bytes())
+        assert len(blobs[0]) == 12000 * 8
+        assert blobs[0] == blobs[1]
 
 
 class TestSelectReliable:
