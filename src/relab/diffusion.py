@@ -9,13 +9,14 @@ cosine-closest seed label.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, SolverError
 from .features import l2_normalize
-from .fileio import load_json, load_jsonl, save_json, save_jsonl, typed
+from .fileio import load_json, load_summarized_jsonl, save_json, save_jsonl, typed
 
 DEFAULT_ALPHA = 0.99
 DEFAULT_TOL = 1e-6
@@ -88,7 +89,10 @@ class DiffusionResult:
 
 
 def load_seeds(path):
-    """Read a seeds JSON file: {"n_classes": C, "seeds": [{"index", "class"}...]}."""
+    """Read a seeds JSON file: {"n_classes": C, "seeds": [{"index", "class"}...]}.
+
+    Raises DegenerateInputError when the file holds no seed.
+    """
     n_classes, entries = typed(path, "seeds file (int64 n_classes, seeds list)",
                                load_json(path), {"n_classes": int, "seeds": list})
     assignments = {}
@@ -98,6 +102,8 @@ def load_seeds(path):
         if idx in assignments:
             raise FormatError(f"{path}: duplicate seed index {idx}")
         assignments[idx] = cls
+    if not assignments:
+        raise DegenerateInputError(f"{path}: the seeds file holds no seed")
     try:
         return SeedLabels(assignments=assignments, n_classes=n_classes)
     except ConfigError as exc:
@@ -270,9 +276,10 @@ def nn_propagate(X, seeds):
 
 
 def save_propagated(path, labels, retrieval_score, seeds):
-    """Write per-sample propagation records as JSON lines."""
+    """Write per-sample propagation records as JSON lines, then a trailing
+    summary record holding the class count."""
     seed_set = set(seeds.assignments)
-    save_jsonl(path, (
+    records = (
         {
             "index": i,
             "label": int(labels[i]),
@@ -280,32 +287,44 @@ def save_propagated(path, labels, retrieval_score, seeds):
             "is_seed": i in seed_set,
         }
         for i in range(len(labels))
-    ))
+    )
+    summary = {"summary": True, "n_classes": seeds.n_classes}
+    save_jsonl(path, itertools.chain(records, [summary]))
 
 
 def load_propagated(path):
-    """Read a propagated-labels file back into (labels, retrieval, is_seed)."""
-    records = load_jsonl(path)
+    """Read a propagated-labels file back into (labels, retrieval, n_classes).
+
+    Raises FormatError unless 1 <= n_classes <= N and every label lies in
+    [0, n_classes).
+    """
+    records, summary = load_summarized_jsonl(path)
     if not records:
         raise FormatError(f"{path}: no records")
     n = len(records)
+    (n_classes,) = typed(path, "summary record", summary, {"n_classes": int})
+    if not 1 <= n_classes <= n:
+        raise FormatError(f"{path}: n_classes={n_classes} out of range for {n} samples")
     seen = bytearray(n)
     schema = {"index": int, "label": int, "retrieval_score": float, "is_seed": bool}
-    index, labels, retrieval, is_seed = [], [], [], []
+    index, labels, retrieval = [], [], []
     for record in records:
-        i, label, score, seed = typed(path, "propagation record", record, schema)
+        i, label, score, _ = typed(path, "propagation record", record, schema)
         if not 0 <= i < n or seen[i]:
             raise FormatError(f"{path}: sample index {i} duplicated or out of range")
         seen[i] = 1
         index.append(i)
         labels.append(label)
         retrieval.append(score)
-        is_seed.append(seed)
     # n distinct indices in range: a permutation, so every slot is filled.
     index = np.array(index, dtype=np.int64)
     columns = []
-    for values, dtype in ((labels, np.int64), (retrieval, np.float64), (is_seed, bool)):
+    for values, dtype in ((labels, np.int64), (retrieval, np.float64)):
         column = np.empty(n, dtype=dtype)
         column[index] = values
         columns.append(column)
-    return tuple(columns)
+    labels, retrieval = columns
+    stray = labels[(labels < 0) | (labels >= n_classes)]
+    if stray.size:
+        raise FormatError(f"{path}: label {stray[0]} out of range for {n_classes} classes")
+    return labels, retrieval, n_classes

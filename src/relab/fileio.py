@@ -164,6 +164,15 @@ def load_jsonl(path):
     return records
 
 
+def load_summarized_jsonl(path):
+    """Read a JSON-lines file whose last record is its summary, a dict with
+    a "summary" key; returns (the records before it, the summary)."""
+    records = load_jsonl(path)
+    if not records or not isinstance(records[-1], dict) or "summary" not in records[-1]:
+        raise FormatError(f"{path}: missing trailing summary record")
+    return records[:-1], records[-1]
+
+
 def save_json(path, obj, indent=2, sort_keys=True):
     """Write a single JSON document and a newline (pretty-printed, sorted keys by default)."""
     payload = json.dumps(obj, indent=indent, sort_keys=sort_keys).encode("ascii")

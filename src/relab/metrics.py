@@ -85,7 +85,7 @@ def noise_report(predicted, truth, n_classes):
     )
 
 
-def compare_selection(rset, truth, n_classes=None):
+def compare_selection(rset, truth, n_classes):
     """Noise report for a reliable set, with a per-origin breakdown.
 
     Raises DataError when an entry's index falls outside the truth array.
@@ -98,8 +98,7 @@ def compare_selection(rset, truth, n_classes=None):
             raise DataError(
                 f"reliable entry index {idx} out of range for {truth.shape[0]} truth labels"
             )
-    c = int(n_classes) if n_classes is not None else len(rset.per_class_count)
-    report = noise_report(labels, truth[indices], c)
+    report = noise_report(labels, truth[indices], n_classes)
 
     origin_counts = {}
     origin_wrong = {}

@@ -40,6 +40,7 @@ from .metrics import compare_selection, noise_report
 from .selection import (
     ProbeConfig,
     check_budget,
+    check_probe_classes,
     load_reliable,
     save_reliable,
     select_by_retrieval_score,
@@ -208,14 +209,18 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
     Features are L2-normalized before probe training (the probe sees the
     same geometry the affinity graph used); strategy "small-loss" needs
     features_path and "retrieval-score" never reads it. n_r=None picks
-    the standard size for the class count when one exists.
+    the standard size for the class count when one exists. The seeds
+    file must declare the propagated file's class count.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if strategy == "small-loss" and features_path is None:
         raise ConfigError("small-loss selection needs a features file (--features)")
     seeds = load_seeds(seeds_path)
-    labels, retrieval, _ = load_propagated(propagated_path)
+    labels, retrieval, n_classes = load_propagated(propagated_path)
+    if seeds.n_classes != n_classes:
+        raise DataError(f"{seeds_path}: n_classes={seeds.n_classes} differs from the "
+                        f"{n_classes} of {propagated_path}")
     seeds.check_fits(labels.shape[0])
     if n_r is None:
         n_r = default_nr(seeds.n_classes)
@@ -232,7 +237,7 @@ def _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe):
     read it."""
     if strategy == "small-loss":
         cfg = probe if probe is not None else ProbeConfig()
-        trace = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
+        trace = train_probe(unit, labels, cfg, seeds.n_classes)
         rset = select_reliable(trace, labels, seeds, n_r)
     else:
         rset = select_by_retrieval_score(labels, retrieval, seeds, n_r)
@@ -255,30 +260,31 @@ def evaluate_step(predicted_path, truth_path, out_path, reliable_path=None):
     set is given, its own report (with origin breakdown) is nested under
     the "reliable" key.
     """
-    labels, _, _ = load_propagated(predicted_path)
+    labels, _, n_classes = load_propagated(predicted_path)
     truth = load_truth(truth_path)
-    _check_truth(truth, labels.size, truth_path)
-    return _evaluate(labels, truth, out_path,
+    _check_truth(truth, labels.size, n_classes, truth_path)
+    return _evaluate(labels, truth, n_classes, out_path,
                      lambda: None if reliable_path is None else load_reliable(reliable_path))
 
 
-def _check_truth(truth, n, truth_path):
+def _check_truth(truth, n, n_classes, truth_path):
+    """Raise DataError unless truth holds one class below n_classes per sample."""
     if truth.shape != (n,):
         raise DataError(f"{truth_path}: {truth.size} truth labels for {n} samples")
+    if np.any(truth >= n_classes):
+        raise DataError(f"{truth_path}: truth class {truth.max()} out of range for "
+                        f"{n_classes} classes")
 
 
-def _evaluate(labels, truth, out_path, reliable):
-    """Write the report of labels against truth, which holds one class per
-    sample, and nest the report of the set reliable() returns unless that
-    is None; returns the summary.
+def _evaluate(labels, truth, n_classes, out_path, reliable):
+    """Write the report of labels against truth, both of which hold one
+    class below n_classes per sample, and nest the report of the set
+    reliable() returns unless that is None; returns the summary.
 
     reliable() runs once the labels are scored: reading the reliable file
     before that raised the peak RSS of repeated propagate -> select ->
     evaluate rounds (N = 10k, C = 100) by about 1 MB.
     """
-    n_classes = max(int(labels.max()), int(truth.max())) + 1
-    if n_classes > labels.size:  # propagate refuses more classes than samples
-        raise DataError(f"class index {n_classes - 1} out of range for {labels.size} samples")
     report = noise_report(labels, truth, n_classes)
     doc = report.to_dict()
     rset = reliable()
@@ -347,8 +353,8 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     n = X.shape[0]
     check_eps(eps)
     seeds.check_fits(n)
-    if len(seeds) == 0:
-        raise DegenerateInputError(f"{seeds_path}: the seeds file holds no seed")
+    if strategy == "small-loss":
+        check_probe_classes(list(seeds.assignments.values()))
     if method == "diffusion":
         check_affinity(n, gamma, auto_k(n) if k is None else k)
         check_solver(alpha, tol, max_iter)
@@ -356,7 +362,7 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
         n_r = default_nr(seeds.n_classes)
     check_budget(seeds, n_r)
     if truth is not None:
-        _check_truth(truth, n, truth_path)
+        _check_truth(truth, n, seeds.n_classes, truth_path)
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
@@ -387,5 +393,6 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
                             strategy, probe)
     steps.append(summary)
     if truth is not None:
-        steps.append(_evaluate(labels, truth, path(REPORT_NAME), lambda: rset))
+        steps.append(_evaluate(labels, truth, seeds.n_classes, path(REPORT_NAME),
+                               lambda: rset))
     return steps

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, TrainingDivergedError
-from .fileio import load_jsonl, save_jsonl, typed
+from .fileio import load_summarized_jsonl, save_jsonl, typed
 
 ORIGIN_SEED = "seed"
 ORIGIN_BOOTSTRAPPED = "bootstrapped"
@@ -83,15 +83,22 @@ class ReliableSet:
         return np.array([e.label for e in self.entries], dtype=np.int64)
 
 
+def check_probe_classes(labels):
+    """Raise DegenerateInputError unless labels hold 2 or more distinct classes."""
+    if np.unique(labels).size < 2:
+        raise DegenerateInputError("probe training needs at least 2 distinct classes")
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def train_probe(X, labels, cfg, n_classes=None):
+def train_probe(X, labels, cfg, n_classes):
     """Train a linear softmax probe with SGD+momentum; record per-sample losses.
 
-    Training runs in float32: X is cast once, and each batch takes one
-    exp. At the end of each of the final cfg.average_window epochs the
-    float32 loss of every sample is evaluated over the full set (no
-    augmentation, no batch-order noise) and stored in float64;
-    averaged_loss is their float64 mean. Earlier epochs only train.
+    Every label must lie in [0, n_classes). Training runs in float32: X
+    is cast once, and each batch takes one exp. At the end of each of the
+    final cfg.average_window epochs the float32 loss of every sample is
+    evaluated over the full set (no augmentation, no batch-order noise)
+    and stored in float64; averaged_loss is their float64 mean. Earlier
+    epochs only train.
     Every epoch checks for divergence, the weights before the window and
     the losses inside it, and raises TrainingDivergedError in place of
     numpy's overflow warnings. Deterministic given cfg.rng_seed: the rng
@@ -104,9 +111,8 @@ def train_probe(X, labels, cfg, n_classes=None):
         raise DataError(f"labels shape {labels.shape} does not match {n} samples")
     if not np.all(np.isfinite(X)):
         raise DataError("feature matrix contains entries that are not finite in float32")
-    if np.unique(labels).size < 2:
-        raise DegenerateInputError("probe training needs at least 2 distinct classes")
-    c = int(n_classes) if n_classes is not None else int(labels.max()) + 1
+    check_probe_classes(labels)
+    c = int(n_classes)
     if labels.min() < 0 or labels.max() >= c:
         raise DataError(f"label out of range for {c} classes")
 
@@ -271,18 +277,16 @@ def save_reliable(path, rset):
 
 def load_reliable(path):
     """Read a reliable-set file back into a ReliableSet."""
-    records = load_jsonl(path)
-    if not records or not isinstance(records[-1], dict) or "summary" not in records[-1]:
-        raise FormatError(f"{path}: missing trailing summary record")
+    records, summary = load_summarized_jsonl(path)
     score_kind, target, counts, warnings = typed(
-        path, "summary record", {"score_kind": "avg_loss", "warnings": [], **records[-1]},
+        path, "summary record", {"score_kind": "avg_loss", "warnings": [], **summary},
         {"score_kind": str, "target_per_class": int, "per_class_count": [int],
          "warnings": [str]})
     if score_kind not in ("avg_loss", "retrieval_score"):
         raise FormatError(f"{path}: unknown score_kind {score_kind!r}")
     schema = {"index": int, "class": int, "origin": str, score_kind: float}
     entries = []
-    for record in records[:-1]:
+    for record in records:
         index, label, origin, score = typed(path, "entry", record, schema)
         entries.append(ReliableEntry(index=index, label=label, origin=origin,
                                      score=float(score)))

@@ -108,6 +108,10 @@ PIPELINE_REFUSALS = {
     "seed-index": (["seed index 5000"], 3, "seed index 5000 out of range for 120 samples"),
     "eps": (["--eps", "2"], 2, "eps must lie in (0, 1)"),
     "truth-length": (["short truth"], 3, "truth.json: 119 truth labels for 120 samples"),
+    "truth-class": (["truth class 50"], 3,
+                    "truth.json: truth class 50 out of range for 4 classes"),
+    "one-seed-class": (["one seed class"], 3,
+                       "probe training needs at least 2 distinct classes"),
     "no-seeds": (["no seeds"], 3, "seeds.json: the seeds file holds no seed"),
     "no-seeds-nn": (["no seeds", "--method", "nn"], 3, "the seeds file holds no seed"),
     "no-seeds-retrieval-score": (["no seeds", "--strategy", "retrieval-score"], 3,
@@ -226,17 +230,24 @@ class TestExitCodes:
                                                              capsys, flags, code, message):
         seeds, truth = workspace / "seeds.json", workspace / "truth.json"
         edit = flags[0]
-        if edit in ("seed index 5000", "no seeds"):
+        if edit in ("seed index 5000", "no seeds", "one seed class"):
             doc = json.loads(seeds.read_text())
             if edit == "no seeds":
                 doc["seeds"] = []
+            elif edit == "one seed class":
+                doc["seeds"] = [seed for seed in doc["seeds"] if seed["class"] == 1]
             else:
                 doc["seeds"][0]["index"] = 5000
             seeds, flags = tmp_path / "seeds.json", flags[1:]
             seeds.write_text(json.dumps(doc))
-        elif edit == "short truth":
+        elif edit in ("short truth", "truth class 50"):
+            labels = json.loads((workspace / "truth.json").read_text())
+            if edit == "short truth":
+                labels = labels[1:]
+            else:
+                labels[1] = 50
             truth, flags = tmp_path / "truth.json", flags[1:]
-            truth.write_text(json.dumps(json.loads((workspace / "truth.json").read_text())[1:]))
+            truth.write_text(json.dumps(labels))
         nr = [] if "--nr" in flags else ["--nr", "40"]
         run = tmp_path / "run"
         assert main(["pipeline", "--features", str(workspace / "features.relf"),
@@ -730,13 +741,15 @@ def chained(workspace, tmp_path_factory):
 
 def mutate_seeds(path, key, value):
     doc = json.loads(path.read_text())
-    (doc if key == "n_classes" else doc["seeds"][0])[key] = value
+    (doc if key in ("n_classes", "seeds") else doc["seeds"][0])[key] = value
     path.write_text(json.dumps(doc))
 
 
 def mutate_propagated(path, key, value):
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[1][key] = value  # index True would read as 1, this record's own index
+    # Summary fields live in the trailing record; record fields in the second,
+    # since index True would read as 1, that record's own index.
+    records[-1 if key in records[-1] else 1][key] = value
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
@@ -821,12 +834,14 @@ def apply_seed_edit(doc, action, position, key, value):
         doc[key] = value
 
 
-# Propagated records carry index, label, retrieval_score and is_seed; 10**400
-# is an integer too large for a float.
+# Propagated records carry index, label, retrieval_score and is_seed, and the
+# trailing summary record summary and n_classes; 10**400 is an integer too
+# large for a float.
 PROPAGATED_EDITS = st.tuples(
     st.sampled_from(["set", "delete", "replace", "drop"]),
     st.sampled_from([0, 1, -1]),
-    st.sampled_from(["index", "label", "retrieval_score", "is_seed"]),
+    st.sampled_from(["index", "label", "retrieval_score", "is_seed", "n_classes",
+                     "summary"]),
     SEED_VALUES | st.just(10**400))
 # A truth file is one list: its entries are replaced or dropped.
 TRUTH_EDITS = st.tuples(st.sampled_from(["replace", "drop"]), st.sampled_from([0, 1, -1]),
@@ -846,6 +861,31 @@ def assert_consumers_fail_cleanly(commands, files, tmp_path, capsys):
         assert "Traceback" not in err, err
         if code:
             assert err.startswith("error: "), err
+
+
+def assert_mutation_refused(workspace, chained, tmp_path, capsys, kind, key, value,
+                            commands, message=""):
+    """Each command exits 3 on the chain's files with one value changed by
+    MUTATE[kind], printing an error line that holds message and writing nothing."""
+    files = {
+        "features": str(chained / WHITENED_NAME),
+        "graph": str(chained / GRAPH_NAME),
+        "propagated": str(chained / PROPAGATED_NAME),
+        "reliable": str(chained / RELIABLE_NAME),
+        "seeds": str(workspace / "seeds.json"),
+        "truth": str(workspace / "truth.json"),
+    }
+    bad = tmp_path / Path(files[kind]).name
+    shutil.copyfile(files[kind], bad)
+    MUTATE[kind](bad, key, value)
+    files[kind] = str(bad)
+    for command in commands:
+        out = tmp_path / f"{command}.out"
+        assert main(consumer_argv(command, files, str(out))) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert message in err, err
+        assert not out.exists()
 
 
 class TestStrictLoaders:
@@ -911,24 +951,40 @@ class TestStrictLoaders:
     ])
     def test_wrong_type_exits_3(self, workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands):
-        files = {
-            "features": str(chained / WHITENED_NAME),
-            "graph": str(chained / GRAPH_NAME),
-            "propagated": str(chained / PROPAGATED_NAME),
-            "reliable": str(chained / RELIABLE_NAME),
-            "seeds": str(workspace / "seeds.json"),
-            "truth": str(workspace / "truth.json"),
-        }
-        bad = tmp_path / Path(files[kind]).name
-        shutil.copyfile(files[kind], bad)
-        MUTATE[kind](bad, key, value)
-        files[kind] = str(bad)
-        for command in commands:
-            out = tmp_path / f"{command}.out"
-            assert main(consumer_argv(command, files, str(out))) == 3, command
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "Traceback" not in err, err
-            assert not out.exists()
+        assert_mutation_refused(workspace, chained, tmp_path, capsys,
+                                kind, key, value, commands)
+
+    # The seeds and propagated files of the chain declare C = 4 classes for
+    # N = 120 samples, so each value below but the empty seed list is in
+    # range for N and out of range for C.
+    @pytest.mark.parametrize("kind, key, value, commands, message", [
+        ("propagated", "label", 99, ["select", "evaluate"],
+         "label 99 out of range for 4 classes"),
+        ("truth", None, 50, ["evaluate"], "truth class 50 out of range for 4 classes"),
+        ("seeds", "n_classes", 5, ["select"], "n_classes=5 differs from the 4 of"),
+        ("propagated", "n_classes", 5, ["select"], "n_classes=4 differs from the 5 of"),
+        ("seeds", "seeds", [], ["propagate", "propagate-nn", "select"],
+         "seeds.json: the seeds file holds no seed"),
+    ])
+    def test_class_count_refusals(self, workspace, chained, tmp_path, capsys,
+                                  kind, key, value, commands, message):
+        assert_mutation_refused(workspace, chained, tmp_path, capsys,
+                                kind, key, value, commands, message)
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_propagated_file_without_summary_exits_3(self, workspace, chained, tmp_path,
+                                                     capsys, command):
+        bad = tmp_path / PROPAGATED_NAME
+        bad.write_text("".join((chained / PROPAGATED_NAME).read_text().splitlines(True)[:-1]))
+        files = {"features": str(chained / WHITENED_NAME), "propagated": str(bad),
+                 "seeds": str(workspace / "seeds.json"), "truth": str(workspace / "truth.json"),
+                 "reliable": str(chained / RELIABLE_NAME)}
+        out = tmp_path / f"{command}.out"
+        assert main(consumer_argv(command, files, str(out))) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert "missing trailing summary record" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("truth", [[], "one extra"])
     def test_truth_length_mismatch_exits_3(self, workspace, chained, tmp_path, capsys,

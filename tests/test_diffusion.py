@@ -392,6 +392,10 @@ class TestNNPropagate:
             nn_propagate(rng.standard_normal((4, 2)), seeds_of({}, 2))
 
 
+def write_records(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
 class TestPropagatedIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "prop.jsonl"
@@ -399,22 +403,37 @@ class TestPropagatedIO:
         scores = np.array([0.9, 0.5, 0.75, 0.25])
         seeds = seeds_of({0: 1}, 3)
         save_propagated(path, labels, scores, seeds)
-        loaded_labels, loaded_scores, is_seed = load_propagated(path)
+        loaded_labels, loaded_scores, n_classes = load_propagated(path)
         assert np.array_equal(loaded_labels, labels)
         np.testing.assert_array_equal(loaded_scores, scores)
-        assert list(is_seed) == [True, False, False, False]
+        assert n_classes == 3
 
     def test_duplicate_index_rejected(self, tmp_path):
         path = tmp_path / "prop.jsonl"
         record = {"index": 0, "label": 1, "retrieval_score": 0.5, "is_seed": False}
-        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(FormatError):
+        write_records(path, [record, record, {"summary": True, "n_classes": 2}])
+        with pytest.raises(FormatError, match="duplicated"):
             load_propagated(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "prop.jsonl"
-        path.write_text(json.dumps({"index": 0, "label": 1}) + "\n")
-        with pytest.raises(FormatError):
+        write_records(path, [{"index": 0, "label": 1}, {"summary": True, "n_classes": 1}])
+        with pytest.raises(FormatError, match="malformed propagation record"):
+            load_propagated(path)
+
+    @pytest.mark.parametrize("summary, message", [
+        (None, "missing trailing summary record"),
+        ({"summary": True}, "malformed summary record"),
+        ({"summary": True, "n_classes": 0}, "n_classes=0 out of range for 2 samples"),
+        ({"summary": True, "n_classes": 3}, "n_classes=3 out of range for 2 samples"),
+        ({"summary": True, "n_classes": 1}, "label 1 out of range for 1 classes"),
+    ])
+    def test_summary_record_checked(self, tmp_path, summary, message):
+        path = tmp_path / "prop.jsonl"
+        records = [{"index": i, "label": i, "retrieval_score": 0.5, "is_seed": False}
+                   for i in range(2)]
+        write_records(path, records + ([] if summary is None else [summary]))
+        with pytest.raises(FormatError, match=message):
             load_propagated(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -101,7 +101,7 @@ class TestCompareSelection:
     def test_seeds_only_clean(self):
         truth = np.array([0, 0, 1, 1])
         rset = rset_from([(0, 0, ORIGIN_SEED), (2, 1, ORIGIN_SEED)], [1, 1])
-        report = compare_selection(rset, truth)
+        report = compare_selection(rset, truth, 2)
         assert report.overall_noise_pct == 0.0
         assert report.origin_counts == {ORIGIN_SEED: 2}
         assert report.origin_noise_pct == {ORIGIN_SEED: 0.0}
@@ -115,7 +115,7 @@ class TestCompareSelection:
         pairs.append((99, 0, ORIGIN_BOOTSTRAPPED))  # truth 1, labeled 0
         pairs.append((49, 1, ORIGIN_BOOTSTRAPPED))  # truth 0, labeled 1
         rset = rset_from(pairs, [26, 26])
-        report = compare_selection(rset, truth)
+        report = compare_selection(rset, truth, 2)
         assert report.per_class_count == [26, 26]
         assert report.overall_noise_pct == pytest.approx(100.0 * 2 / 52)
         assert report.origin_counts == {ORIGIN_SEED: 2, ORIGIN_BOOTSTRAPPED: 50}
@@ -126,7 +126,7 @@ class TestCompareSelection:
         truth = np.array([0, 1])
         rset = rset_from([(0, 0, ORIGIN_SEED), (7, 1, ORIGIN_SEED)], [1, 1])
         with pytest.raises(DataError):
-            compare_selection(rset, truth)
+            compare_selection(rset, truth, 2)
 
     def test_explicit_n_classes(self):
         truth = np.array([0, 0, 1, 1])

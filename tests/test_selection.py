@@ -113,7 +113,7 @@ class TestProbeConfig:
 class TestTrainProbe:
     def test_separable_clusters_reach_low_loss(self):
         X, y = two_cluster_features(40, 5, gap=8.0)
-        trace = train_probe(X, y, ProbeConfig(epochs=30, average_window=5))
+        trace = train_probe(X, y, ProbeConfig(epochs=30, average_window=5), 2)
         assert trace.window_losses.shape == (5, 80)
         assert trace.window_losses[-1].mean() < 0.1
         assert np.all(trace.window_losses >= 0.0)
@@ -123,13 +123,13 @@ class TestTrainProbe:
         X, y = two_cluster_features(40, 5, gap=8.0)
         noisy = y.copy()
         noisy[0] = 1  # cluster-0 sample mislabeled as class 1
-        trace = train_probe(X, noisy, ProbeConfig(epochs=30, average_window=10))
+        trace = train_probe(X, noisy, ProbeConfig(epochs=30, average_window=10), 2)
         clean_class1 = trace.averaged_loss[40:]
         assert trace.averaged_loss[0] > np.median(clean_class1)
 
     def test_window_equal_to_epochs_averages_everything(self):
         X, y = two_cluster_features(10, 3, gap=6.0)
-        trace = train_probe(X, y, ProbeConfig(epochs=8, average_window=8))
+        trace = train_probe(X, y, ProbeConfig(epochs=8, average_window=8), 2)
         np.testing.assert_allclose(trace.averaged_loss,
                                    trace.window_losses.mean(axis=0),
                                    atol=1e-12)
@@ -137,8 +137,8 @@ class TestTrainProbe:
     def test_deterministic(self):
         X, y = two_cluster_features(20, 4, gap=3.0)
         cfg = ProbeConfig(epochs=12, average_window=6, rng_seed=5)
-        t1 = train_probe(X, y, cfg)
-        t2 = train_probe(X, y, cfg)
+        t1 = train_probe(X, y, cfg, 2)
+        t2 = train_probe(X, y, cfg, 2)
         assert t1.window_losses.tobytes() == t2.window_losses.tobytes()
         assert t1.averaged_loss.tobytes() == t2.averaged_loss.tobytes()
 
@@ -146,8 +146,8 @@ class TestTrainProbe:
         # Epochs before the window are trained but not evaluated; a window
         # covering every epoch must see the same last five epochs bitwise.
         X, y = two_cluster_features(30, 6, gap=2.0)
-        short = train_probe(X, y, ProbeConfig(epochs=30, average_window=5, rng_seed=3))
-        full = train_probe(X, y, ProbeConfig(epochs=30, average_window=30, rng_seed=3))
+        short = train_probe(X, y, ProbeConfig(epochs=30, average_window=5, rng_seed=3), 2)
+        full = train_probe(X, y, ProbeConfig(epochs=30, average_window=30, rng_seed=3), 2)
         assert full.window_losses.shape == (30, 60)
         assert short.window_losses.tobytes() == full.window_losses[-5:].tobytes()
 
@@ -158,23 +158,24 @@ class TestTrainProbe:
         X, y = two_cluster_features(40, 5, gap=8.0)
         cfg = ProbeConfig(epochs=5, average_window=window, learning_rate=1e308)
         with pytest.raises(TrainingDivergedError, match=f"non-finite {check}"):
-            train_probe(X, y, cfg)
+            train_probe(X, y, cfg, 2)
 
     def test_single_class_rejected(self, rng):
         X = rng.standard_normal((10, 3))
         with pytest.raises(DegenerateInputError):
-            train_probe(X, np.zeros(10, dtype=np.int64), ProbeConfig(epochs=1, average_window=1))
+            train_probe(X, np.zeros(10, dtype=np.int64),
+                        ProbeConfig(epochs=1, average_window=1), 2)
 
     def test_shape_mismatch_rejected(self, rng):
         X = rng.standard_normal((10, 3))
         labels = np.array([0, 1])
         with pytest.raises(DataError):
-            train_probe(X, labels, ProbeConfig())
+            train_probe(X, labels, ProbeConfig(), 2)
 
     def test_non_finite_features_rejected(self):
         X = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(DataError):
-            train_probe(X, np.array([0, 1]), ProbeConfig())
+            train_probe(X, np.array([0, 1]), ProbeConfig(), 2)
 
     def test_label_out_of_declared_range_rejected(self, rng):
         X = rng.standard_normal((4, 2))
