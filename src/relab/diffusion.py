@@ -133,11 +133,13 @@ def _block_cg(S, alpha, B, tol, max_iter):
 
     B holds one right-hand side per row (columns x N) and is only read.
     Each row runs the textbook CG recurrence on its own: its two dot products
-    per iteration are contiguous 1-D products and its updates are
+    per iteration are row-wise einsum reductions and its updates are
     elementwise, so its iterates are bitwise those of a single-column
-    solve. The rows still iterating share one sparse product S @ M per
-    iteration; a row is frozen and leaves that product once its relative
-    residual reaches tol.
+    solve. einsum sums in one order whatever the BLAS thread count, where a
+    1-D `@` or `norm` of more than about 10,000 elements is split across
+    threads and rounds differently. The rows still iterating share one
+    sparse product S @ M per iteration; a row is frozen and leaves that
+    product once its relative residual reaches tol.
 
     Returns (X, relative_residual, iterations, failed): one entry per row,
     and the rows that exhausted max_iter, ascending, with their last
@@ -147,23 +149,23 @@ def _block_cg(S, alpha, B, tol, max_iter):
     X = np.zeros(B.shape)
     rel = np.zeros(m)
     iterations = np.zeros(m, dtype=np.int64)
-    bnorm = np.array([float(np.linalg.norm(b)) for b in B])
+    bnorm = np.sqrt(np.einsum("ij,ij->i", B, B))
     active = np.flatnonzero(bnorm > 0.0)  # a zero right-hand side is solved by x = 0
     bnorm = bnorm[active]
     R = B[active]  # a contiguous copy: CG never writes into B
     D = R.copy()
     Xa = np.zeros_like(R)
-    rs = np.array([float(r @ r) for r in R])
+    rs = np.einsum("ij,ij->i", R, R)
     for iteration in range(1, max_iter + 1):
         if active.size == 0:
             break
         # A D = D - alpha * (S D), row-contiguous like D.
         AD = np.multiply((S @ D.T).T, alpha, order="C")
         np.subtract(D, AD, out=AD)
-        step = rs / np.array([float(d @ ad) for d, ad in zip(D, AD)])
+        step = rs / np.einsum("ij,ij->i", D, AD)
         Xa += step[:, None] * D
         R -= step[:, None] * AD
-        rs_next = np.array([float(r @ r) for r in R])
+        rs_next = np.einsum("ij,ij->i", R, R)
         done = np.sqrt(rs_next) <= tol * bnorm
         if done.any():
             finished = active[done]
@@ -276,16 +278,10 @@ def nn_propagate(X, seeds):
 
 
 def save_propagated(path, labels, retrieval_score, seeds):
-    """Write per-sample propagation records as JSON lines, then a trailing
-    summary record holding the class count."""
-    seed_set = set(seeds.assignments)
+    """Write one propagation record per sample, in index order, then a
+    trailing summary record holding the class count."""
     records = (
-        {
-            "index": i,
-            "label": int(labels[i]),
-            "retrieval_score": float(retrieval_score[i]),
-            "is_seed": i in seed_set,
-        }
+        {"index": i, "label": int(labels[i]), "retrieval_score": float(retrieval_score[i])}
         for i in range(len(labels))
     )
     summary = {"summary": True, "n_classes": seeds.n_classes}
@@ -295,8 +291,8 @@ def save_propagated(path, labels, retrieval_score, seeds):
 def load_propagated(path):
     """Read a propagated-labels file back into (labels, retrieval, n_classes).
 
-    Raises FormatError unless 1 <= n_classes <= N and every label lies in
-    [0, n_classes).
+    Raises FormatError unless the record at position p holds sample index
+    p, 1 <= n_classes <= N and every label lies in [0, n_classes).
     """
     records, summary = load_summarized_jsonl(path)
     if not records:
@@ -305,25 +301,18 @@ def load_propagated(path):
     (n_classes,) = typed(path, "summary record", summary, {"n_classes": int})
     if not 1 <= n_classes <= n:
         raise FormatError(f"{path}: n_classes={n_classes} out of range for {n} samples")
-    seen = bytearray(n)
-    schema = {"index": int, "label": int, "retrieval_score": float, "is_seed": bool}
-    index, labels, retrieval = [], [], []
-    for record in records:
-        i, label, score, _ = typed(path, "propagation record", record, schema)
-        if not 0 <= i < n or seen[i]:
-            raise FormatError(f"{path}: sample index {i} duplicated or out of range")
-        seen[i] = 1
-        index.append(i)
+    schema = {"index": int, "label": int, "retrieval_score": float}
+    labels, retrieval = [], []
+    for p, record in enumerate(records):
+        i, label, score = typed(path, "propagation record", record, schema)
+        if i != p:
+            raise FormatError(
+                f"{path}: record {p} holds sample index {i}; records must be in index order"
+            )
         labels.append(label)
         retrieval.append(score)
-    # n distinct indices in range: a permutation, so every slot is filled.
-    index = np.array(index, dtype=np.int64)
-    columns = []
-    for values, dtype in ((labels, np.int64), (retrieval, np.float64)):
-        column = np.empty(n, dtype=dtype)
-        column[index] = values
-        columns.append(column)
-    labels, retrieval = columns
+    labels = np.array(labels, dtype=np.int64)
+    retrieval = np.array(retrieval, dtype=np.float64)
     stray = labels[(labels < 0) | (labels >= n_classes)]
     if stray.size:
         raise FormatError(f"{path}: label {stray[0]} out of range for {n_classes} classes")

@@ -297,7 +297,11 @@ def _evaluate(labels, truth, n_classes, out_path, reliable):
 def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
                separation=3.0, rng_seed=0, imbalance=None, out_seeds=None,
                seeds_per_class=None):
-    """Generate a synthetic fixture; optionally also a seed file."""
+    """Generate a synthetic fixture; optionally also a seed file.
+
+    The seeds are picked before any file is written, so a seeds request
+    that cannot be met leaves no file behind.
+    """
     cfg = SynthConfig(
         n_classes=n_classes,
         per_class=per_class,
@@ -306,7 +310,10 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
         rng_seed=rng_seed,
         imbalance=tuple(imbalance) if imbalance else None,
     )
+    if out_seeds is not None and seeds_per_class is None:
+        raise ConfigError("writing a seeds file needs seeds-per-class")
     X, truth = generate(cfg)
+    seeds = None if out_seeds is None else pick_seeds(truth, seeds_per_class, rng_seed=rng_seed)
     save_features(out_features, X)
     save_truth(out_truth, truth)
     summary = {
@@ -318,10 +325,7 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
         "out_features": str(out_features),
         "out_truth": str(out_truth),
     }
-    if out_seeds is not None:
-        if seeds_per_class is None:
-            raise ConfigError("writing a seeds file needs seeds-per-class")
-        seeds = pick_seeds(truth, seeds_per_class, rng_seed=rng_seed)
+    if seeds is not None:
         save_seeds(out_seeds, seeds)
         summary["out_seeds"] = str(out_seeds)
         summary["n_seeds"] = len(seeds)

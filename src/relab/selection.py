@@ -48,6 +48,8 @@ class ProbeConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -276,7 +278,11 @@ def save_reliable(path, rset):
 
 
 def load_reliable(path):
-    """Read a reliable-set file back into a ReliableSet."""
+    """Read a reliable-set file back into a ReliableSet.
+
+    Raises FormatError for an origin other than seed or bootstrapped, and
+    for a sample index listed twice.
+    """
     records, summary = load_summarized_jsonl(path)
     score_kind, target, counts, warnings = typed(
         path, "summary record", {"score_kind": "avg_loss", "warnings": [], **summary},
@@ -285,9 +291,14 @@ def load_reliable(path):
     if score_kind not in ("avg_loss", "retrieval_score"):
         raise FormatError(f"{path}: unknown score_kind {score_kind!r}")
     schema = {"index": int, "class": int, "origin": str, score_kind: float}
-    entries = []
+    entries, seen = [], set()
     for record in records:
         index, label, origin, score = typed(path, "entry", record, schema)
+        if origin not in (ORIGIN_SEED, ORIGIN_BOOTSTRAPPED):
+            raise FormatError(f"{path}: unknown origin {origin!r}")
+        if index in seen:
+            raise FormatError(f"{path}: sample index {index} listed twice")
+        seen.add(index)
         entries.append(ReliableEntry(index=index, label=label, origin=origin,
                                      score=float(score)))
     return ReliableSet(

@@ -31,6 +31,8 @@ class SynthConfig:
             raise ConfigError(f"dims must be >= 2, got {self.dims}")
         if not 0 < self.separation < np.inf:
             raise ConfigError(f"separation must be finite and positive, got {self.separation}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.imbalance is not None:
             if len(self.imbalance) != self.n_classes:
                 raise ConfigError(
@@ -88,6 +90,8 @@ def pick_seeds(truth, per_class, rng_seed=0):
     truth = np.asarray(truth, dtype=np.int64)
     if per_class < 1:
         raise ConfigError(f"seeds per class must be >= 1, got {per_class}")
+    if rng_seed < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     n_classes = int(truth.max()) + 1 if truth.size else 0
     if n_classes < 1:
         raise ConfigError("truth labels are empty")

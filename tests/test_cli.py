@@ -116,6 +116,7 @@ PIPELINE_REFUSALS = {
     "no-seeds-nn": (["no seeds", "--method", "nn"], 3, "the seeds file holds no seed"),
     "no-seeds-retrieval-score": (["no seeds", "--strategy", "retrieval-score"], 3,
                                  "the seeds file holds no seed"),
+    "rng-seed": (["--rng-seed", "-1"], 2, "rng_seed must be >= 0, got -1"),
 }
 
 
@@ -223,6 +224,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: no default n_r") and "Traceback" not in err, err
         assert list(run.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out-seeds", "s.json"], "writing a seeds file needs seeds-per-class"),
+        (["--out-seeds", "s.json", "--seeds-per-class", "11"],
+         "class 0 has 10 samples, cannot pick 11 seeds"),
+        (["--rng-seed", "-1"], "rng_seed must be >= 0, got -1"),
+    ])
+    def test_synth_refusals_write_nothing(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--classes", "3", "--per-class", "10", "--dims", "8",
+                     "--out-features", "f.relf", "--out-truth", "t.json", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, code, message", PIPELINE_REFUSALS.values(),
                              ids=PIPELINE_REFUSALS)
@@ -834,14 +849,13 @@ def apply_seed_edit(doc, action, position, key, value):
         doc[key] = value
 
 
-# Propagated records carry index, label, retrieval_score and is_seed, and the
+# Propagated records carry index, label and retrieval_score, and the
 # trailing summary record summary and n_classes; 10**400 is an integer too
 # large for a float.
 PROPAGATED_EDITS = st.tuples(
     st.sampled_from(["set", "delete", "replace", "drop"]),
     st.sampled_from([0, 1, -1]),
-    st.sampled_from(["index", "label", "retrieval_score", "is_seed", "n_classes",
-                     "summary"]),
+    st.sampled_from(["index", "label", "retrieval_score", "n_classes", "summary"]),
     SEED_VALUES | st.just(10**400))
 # A truth file is one list: its entries are replaced or dropped.
 TRUTH_EDITS = st.tuples(st.sampled_from(["replace", "drop"]), st.sampled_from([0, 1, -1]),
@@ -906,7 +920,8 @@ class TestStrictLoaders:
         ("propagated", "retrieval_score", True, ["select", "evaluate"]),
         ("propagated", "retrieval_score", float("nan"), ["select", "evaluate"]),
         ("propagated", "retrieval_score", float("inf"), ["select", "evaluate"]),
-        ("propagated", "is_seed", 1, ["select", "evaluate"]),
+        # pytest numbers these rows by position, so a row is replaced, not deleted.
+        ("reliable", "origin", "bogus", ["evaluate"]),
         ("truth", None, True, ["evaluate"]),
         ("truth", None, 1.0, ["evaluate"]),
         ("reliable", "index", 26.7, ["evaluate"]),
@@ -984,6 +999,26 @@ class TestStrictLoaders:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
         assert "missing trailing summary record" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("other_class", [False, True])
+    def test_reliable_index_listed_twice_exits_3(self, workspace, chained, tmp_path, capsys,
+                                                 other_class):
+        records = [json.loads(line)
+                   for line in (chained / RELIABLE_NAME).read_text().splitlines()]
+        twin = dict(records[0])
+        if other_class:
+            twin["class"] = (twin["class"] + 1) % 4
+        records.insert(-1, twin)
+        bad = tmp_path / RELIABLE_NAME
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / REPORT_NAME
+        assert main(["evaluate", "--predicted", str(chained / PROPAGATED_NAME),
+                     "--truth", str(workspace / "truth.json"),
+                     "--reliable", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert f"sample index {twin['index']} listed twice" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("truth", [[], "one extra"])

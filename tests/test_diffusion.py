@@ -42,19 +42,19 @@ def oracle_cg(matvec, b, tol, max_iter):
     Returns (x, relative_residual, iterations); x is None when max_iter was
     exhausted before reaching tol.
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.sqrt(np.einsum("i,i->", b, b)))
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0.0, 0
     r = b.copy()
     d = r.copy()
-    rs = float(r @ r)
+    rs = float(np.einsum("i,i->", r, r))
     for iteration in range(1, max_iter + 1):
         Ad = matvec(d)
-        step = rs / float(d @ Ad)
+        step = rs / float(np.einsum("i,i->", d, Ad))
         x = x + step * d
         r = r - step * Ad
-        rs_next = float(r @ r)
+        rs_next = float(np.einsum("i,i->", r, r))
         if np.sqrt(rs_next) <= tol * bnorm:
             return x, np.sqrt(rs_next) / bnorm, iteration
         d = r + (rs_next / rs) * d
@@ -403,6 +403,10 @@ class TestPropagatedIO:
         scores = np.array([0.9, 0.5, 0.75, 0.25])
         seeds = seeds_of({0: 1}, 3)
         save_propagated(path, labels, scores, seeds)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records == [
+            {"index": i, "label": int(labels[i]), "retrieval_score": scores[i]} for i in range(4)
+        ] + [{"summary": True, "n_classes": 3}]
         loaded_labels, loaded_scores, n_classes = load_propagated(path)
         assert np.array_equal(loaded_labels, labels)
         np.testing.assert_array_equal(loaded_scores, scores)
@@ -410,10 +414,30 @@ class TestPropagatedIO:
 
     def test_duplicate_index_rejected(self, tmp_path):
         path = tmp_path / "prop.jsonl"
-        record = {"index": 0, "label": 1, "retrieval_score": 0.5, "is_seed": False}
+        record = {"index": 0, "label": 1, "retrieval_score": 0.5}
         write_records(path, [record, record, {"summary": True, "n_classes": 2}])
-        with pytest.raises(FormatError, match="duplicated"):
+        with pytest.raises(FormatError, match="record 1 holds sample index 0; records must "
+                                              "be in index order"):
             load_propagated(path)
+
+    def test_swapped_records_rejected(self, tmp_path):
+        path = tmp_path / "prop.jsonl"
+        save_propagated(path, np.array([0, 1, 2]), np.array([0.5, 0.25, 0.75]),
+                        seeds_of({0: 0}, 3))
+        lines = path.read_text().splitlines(True)
+        lines[0], lines[1] = lines[1], lines[0]
+        path.write_text("".join(lines))
+        with pytest.raises(FormatError, match="record 0 holds sample index 1"):
+            load_propagated(path)
+
+    def test_older_file_with_is_seed_loads(self, tmp_path):
+        path = tmp_path / "prop.jsonl"
+        records = [{"index": i, "label": i, "retrieval_score": 0.5, "is_seed": i == 0}
+                   for i in range(2)]
+        write_records(path, records + [{"summary": True, "n_classes": 2}])
+        labels, retrieval, n_classes = load_propagated(path)
+        assert labels.tolist() == [0, 1] and retrieval.tolist() == [0.5, 0.5]
+        assert n_classes == 2
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "prop.jsonl"
@@ -430,8 +454,7 @@ class TestPropagatedIO:
     ])
     def test_summary_record_checked(self, tmp_path, summary, message):
         path = tmp_path / "prop.jsonl"
-        records = [{"index": i, "label": i, "retrieval_score": 0.5, "is_seed": False}
-                   for i in range(2)]
+        records = [{"index": i, "label": i, "retrieval_score": 0.5} for i in range(2)]
         write_records(path, records + ([] if summary is None else [summary]))
         with pytest.raises(FormatError, match=message):
             load_propagated(path)

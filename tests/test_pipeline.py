@@ -1,10 +1,17 @@
 import copy
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relab
 import relab.pipeline
+from relab.cli import main
 from relab.diffusion import load_propagated
 from relab.errors import ConfigError
 from relab.features import l2_normalize, load_features
@@ -200,3 +207,32 @@ class TestInMemoryChain:
         assert same_bits(passed.per_class_count, written.per_class_count)
         assert (passed.target_per_class, passed.score_kind, passed.warnings) == (
             written.target_per_class, written.score_kind, written.warnings)
+
+
+class TestArtifactsIgnoreThreads:
+    def test_one_and_two_blas_threads_write_the_same_bytes(self, tmp_path):
+        # N = 10,400: OpenBLAS splits a 1-D dot product or norm of more than
+        # about 10,000 elements across threads, which moves its last bits.
+        features, truth, seeds = (str(tmp_path / name)
+                                  for name in ("features.relf", "truth.json", "seeds.json"))
+        assert main(["--quiet", "synth", "--classes", "10", "--per-class", "1040",
+                     "--dims", "128", "--separation", "6", "--seeds-per-class", "4",
+                     "--out-features", features, "--out-truth", truth,
+                     "--out-seeds", seeds]) == 0
+        package_parent = str(Path(relab.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            p for p in [package_parent, os.environ.get("PYTHONPATH", "")] if p)
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "relab", "--quiet", "pipeline", "--features", features,
+                 "--seeds", seeds, "--truth", truth, "--out-dir", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in out.iterdir()})
+        assert sorted(digests[0]) == sorted([WHITENED_NAME, GRAPH_NAME, PROPAGATED_NAME,
+                                             RELIABLE_NAME, REPORT_NAME])
+        assert digests[0] == digests[1]

@@ -104,6 +104,7 @@ class TestProbeConfig:
         {"momentum": 1.0},
         {"momentum": -0.1},
         {"batch_size": 0},
+        {"rng_seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

@@ -19,6 +19,7 @@ class TestSynthConfig:
         {"n_classes": 3, "imbalance": (5, 5)},
         {"n_classes": 2, "imbalance": (5, 0)},
         {"separation": float("inf")},
+        {"rng_seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -119,6 +120,10 @@ class TestPickSeeds:
     def test_bad_per_class(self):
         with pytest.raises(ConfigError):
             pick_seeds(np.array([0, 1]), per_class=0)
+
+    def test_negative_rng_seed(self):
+        with pytest.raises(ConfigError, match="rng_seed must be >= 0, got -1"):
+            pick_seeds(np.array([0, 1]), per_class=1, rng_seed=-1)
 
 
 def diffusion_noise_pct(separation, rng_seed):
