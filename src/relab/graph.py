@@ -12,22 +12,23 @@ float64 GEMM each, written into a buffer allocated once, and selects each
 block _SELECT_ROWS rows at a time.
 
 Each row keeps only its survivors: the affinities at or above a positive
-bound, packed into a small padded matrix in column order. The bound is the
-smallest positive float, raised to the k-th largest affinity among the
-row's first _WINDOW_COLS columns when k is below the window and the window
-is narrower than the row. That k-th value bounds the row's k-th largest
-from below, so every top-k column, and every column tied at the k-th
-value, survives: about 130 of 10k columns per row on the benchmark data.
-Zeros never survive, so a row whose window holds fewer than k positive
-affinities, or that has no window, keeps its k strongest positive ones.
+bound, packed into a small padded matrix in column order. When k is below
+g = n // _GROUP_COLS, column j + i * g (i < _GROUP_COLS) is in group j,
+and the bound is the k-th largest of the row's g group maxima, floored at
+the smallest positive float. k distinct columns reach it, so it never
+exceeds the row's k-th largest affinity: every top-k column, and every
+column tied at the k-th value, survives. Only the columns of the groups
+whose maximum reaches the bound are read again, with the last
+n % _GROUP_COLS columns, which are in no group: about 51 survivors of
+10k columns per row on the benchmark data at k = 50. Otherwise, as in the
+dense graph, the bound is the smallest positive float. Zeros never
+survive, so a row with fewer than k positive affinities keeps them all.
 
 A slice in which no row has more than k survivors keeps them as they are,
-as the dense graph (k = n - 1) always does. Otherwise each row's
-partitioned set is already the answer when its k-th survivor is strictly
-larger than its (k+1)-th or it has at most k survivors. Only rows tied at
-the k-th affinity fall back to a stable sort, so ties keep the lowest
-column indices. The kept columns go straight into a CSR from per-row
-counts.
+as the dense graph (k = n - 1) always does. Otherwise each row keeps its
+survivors above its k-th largest and, of those equal to it, the lowest
+columns until it has k, so ties keep the lowest column indices. The kept
+columns go straight into a CSR from per-row counts.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ RELG_VERSION = 1
 # BLAS blocks the product by its shape, and 128-row blocks already change
 # some values, so changing it changes graph files.
 _BLOCK_ROWS = 256
-# Rows per argpartition call inside a block; the kept set does not depend on it.
-_SELECT_ROWS = 32
-# Leading columns whose k-th largest affinity bounds a row's k-th largest
-# from below. The kept set does not depend on it; at N = 10k, 1024 and 2048
-# columns let through enough survivors to be slower than 4096.
-_WINDOW_COLS = 4096
+# Rows selected together inside a block; the kept set does not depend on it.
+# At N = 10k, 128 rows built the graph faster than 16, 32 or 64 and as fast
+# as 256.
+_SELECT_ROWS = 128
+# Columns per group; a row's group maxima bound its k-th largest affinity
+# from below. The kept set does not depend on it.
+_GROUP_COLS = 8
 # The least bound: zeros and negative affinities never survive.
 _MIN_POSITIVE = np.nextafter(0.0, 1.0)
 
@@ -118,7 +120,7 @@ def _topk_affinity(V, gamma, k):
     the k-th value keep the lowest column indices), then dropping zeros.
     """
     n = V.shape[0]
-    windowed = k < _WINDOW_COLS < n
+    groups = n // _GROUP_COLS
     buffer = np.empty((min(_BLOCK_ROWS, n), n))
     counts = np.empty(n, dtype=np.int64)
     cols = []
@@ -130,13 +132,11 @@ def _topk_affinity(V, gamma, k):
         block[np.arange(stop - start), np.arange(start, stop)] = 0.0
         for lo in range(start, stop, _SELECT_ROWS):
             rows = block[lo - start:lo - start + _SELECT_ROWS]
-            bound = _MIN_POSITIVE
-            if windowed:
-                # Each row's k-th largest affinity among its window columns.
-                kth = np.partition(rows[:, :_WINDOW_COLS], _WINDOW_COLS - k,
-                                   axis=1)[:, _WINDOW_COLS - k]
-                bound = np.maximum(kth, _MIN_POSITIVE)[:, None]
-            row_counts, row_cols, row_vals = _select_survivors(rows, bound, k)
+            if k < groups:
+                flat = _group_survivors(rows, groups, k)
+            else:
+                flat = np.flatnonzero(rows >= _MIN_POSITIVE)
+            row_counts, row_cols, row_vals = _select_survivors(rows, flat, k)
             counts[lo:lo + rows.shape[0]] = row_counts
             cols.append(row_cols)
             vals.append(row_vals)
@@ -151,30 +151,34 @@ def _topk_affinity(V, gamma, k):
     return directed.maximum(directed.T)
 
 
-def _stable_topk(neg, k):
-    """Positions of each row's k smallest entries of neg (k < neg.shape[1]),
-    the set a stable argsort puts first."""
-    part = np.argpartition(neg, k, axis=1)
-    top = part[:, :k]
-    kth = np.take_along_axis(neg, top, axis=1).max(axis=1)
-    after = np.take_along_axis(neg, part[:, k:k + 1], axis=1)[:, 0]
-    # The partition's set is the stable one unless the k-th value is a
-    # positive affinity shared with the (k+1)-th; such rows take the
-    # stable sort, which keeps the lowest tied columns.
-    for i in np.flatnonzero((after == kth) & (kth < 0.0)):
-        top[i] = np.argsort(neg[i], kind="stable")[:k]
-    return top
+def _group_survivors(rows, groups, k):
+    """Sorted flat indices into rows of the entries at or above each row's
+    group bound (see the module docstring); k < groups."""
+    m, n = rows.shape
+    width = groups * _GROUP_COLS
+    grouped = rows[:, :width].reshape(m, _GROUP_COLS, groups)
+    gmax = grouped.max(axis=1)
+    bound = np.partition(gmax, groups - k, axis=1)[:, groups - k]
+    np.maximum(bound, _MIN_POSITIVE, out=bound)
+    r, j = np.divmod(np.flatnonzero(gmax >= bound[:, None]), groups)
+    t, i = np.divmod(np.flatnonzero(grouped[r, :, j] >= bound[r, None]), _GROUP_COLS)
+    flat = r[t] * n + j[t] + i * groups
+    if width < n:
+        tail_r, tail_c = np.divmod(np.flatnonzero(rows[:, width:] >= bound[:, None]), n - width)
+        flat = np.concatenate([flat, tail_r * n + width + tail_c])
+    flat.sort()
+    return flat
 
 
-def _select_survivors(rows, bound, k):
+def _select_survivors(rows, flat, k):
     """Each row's kept (count, columns, affinities), columns ascending.
 
-    The survivors are the entries at or above bound, a positive column of
-    per-row bounds or one bound for every row. A row keeps its k strongest
-    survivors, or all of them when it has at most k.
+    flat holds the sorted flat indices into rows of the survivors: every
+    entry at or above a positive bound no larger than its row's k-th
+    largest. A row keeps its k strongest survivors, or all of them when it
+    has at most k.
     """
     m, n = rows.shape
-    flat = np.flatnonzero(rows >= bound)
     x = rows.ravel()[flat]
     ends = np.searchsorted(flat, np.arange(1, m + 1) * n)
     row_counts = np.diff(ends, prepend=0)
@@ -186,13 +190,20 @@ def _select_survivors(rows, bound, k):
         return row_counts, c, x
     starts = ends - row_counts
     r = np.repeat(np.arange(m), row_counts)
-    # Survivors packed left in column order. The zero padding sorts after
-    # every survivor, and k + 1 columns give every row a (k+1)-th entry.
-    neg = np.zeros((m, max(int(row_counts.max()), k + 1)))
+    # Survivors packed left in column order; the zero padding sorts after
+    # every survivor, so a row with fewer than k survivors gets kth = -0.0.
+    neg = np.zeros((m, int(row_counts.max())))
     neg[r, np.arange(c.size) - starts[r]] = -x
-    top = np.sort(_stable_topk(neg, k), axis=1)
-    top = (starts[:, None] + top)[top < row_counts[:, None]]
-    return np.minimum(row_counts, k), c[top], x[top]
+    kth = -np.partition(neg, k - 1, axis=1)[r, k - 1]
+    # A row keeps every survivor above its k-th largest and, of those equal
+    # to it, the lowest columns until it has k.
+    above = x > kth
+    tied = x == kth
+    tied_before = np.concatenate(([0], np.cumsum(tied)))
+    tied_rank = tied_before[1:] - tied_before[starts][r]
+    room = k - np.bincount(r[above], minlength=m)
+    keep = above | (tied & (tied_rank <= room[r]))
+    return np.minimum(row_counts, k), c[keep], x[keep]
 
 
 def normalize(graph):
@@ -207,8 +218,11 @@ def normalize(graph):
     if isolated.size:
         raise IsolatedNodeError(isolated.tolist())
     dinv = 1.0 / np.sqrt(degrees)
-    scaler = sp.diags(dinv)
-    S = (scaler @ A @ scaler).tocsr()
+    # Entry (i, j) is (dinv_i * A_ij) * dinv_j, the bits of D^{-1/2} @ A @ D^{-1/2}.
+    data = np.repeat(dinv, np.diff(A.indptr))
+    data *= A.data
+    data *= dinv[A.indices]
+    S = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
     return NormalizedGraph(n=graph.n, s=S, degrees=degrees)
 
 

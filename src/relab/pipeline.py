@@ -47,7 +47,7 @@ from .selection import (
     select_reliable,
     train_probe,
 )
-from .synth import SynthConfig, generate, pick_seeds
+from .synth import SynthConfig, check_seeds_per_class, generate, pick_seeds
 
 METHODS = ("diffusion", "nn")
 STRATEGIES = ("small-loss", "retrieval-score")
@@ -299,8 +299,9 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
                seeds_per_class=None):
     """Generate a synthetic fixture; optionally also a seed file.
 
-    The seeds are picked before any file is written, so a seeds request
-    that cannot be met leaves no file behind.
+    seeds_per_class is checked whenever it is given, and the seeds are
+    picked before any file is written, so a seeds request that cannot be
+    met leaves no file behind.
     """
     cfg = SynthConfig(
         n_classes=n_classes,
@@ -312,6 +313,8 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
     )
     if out_seeds is not None and seeds_per_class is None:
         raise ConfigError("writing a seeds file needs seeds-per-class")
+    if seeds_per_class is not None:
+        check_seeds_per_class(seeds_per_class)
     X, truth = generate(cfg)
     seeds = None if out_seeds is None else pick_seeds(truth, seeds_per_class, rng_seed=rng_seed)
     save_features(out_features, X)

@@ -85,11 +85,16 @@ def generate(cfg):
     return features, truth
 
 
+def check_seeds_per_class(per_class):
+    """Raise ConfigError unless per_class >= 1."""
+    if per_class < 1:
+        raise ConfigError(f"seeds per class must be >= 1, got {per_class}")
+
+
 def pick_seeds(truth, per_class, rng_seed=0):
     """Sample per_class seed indices uniformly within each class."""
     truth = np.asarray(truth, dtype=np.int64)
-    if per_class < 1:
-        raise ConfigError(f"seeds per class must be >= 1, got {per_class}")
+    check_seeds_per_class(per_class)
     if rng_seed < 0:
         raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     n_classes = int(truth.max()) + 1 if truth.size else 0

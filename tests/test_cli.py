@@ -230,6 +230,7 @@ class TestExitCodes:
         (["--out-seeds", "s.json", "--seeds-per-class", "11"],
          "class 0 has 10 samples, cannot pick 11 seeds"),
         (["--rng-seed", "-1"], "rng_seed must be >= 0, got -1"),
+        (["--seeds-per-class", "-5"], "seeds per class must be >= 1, got -5"),
     ])
     def test_synth_refusals_write_nothing(self, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.chdir(tmp_path)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError, IsolatedNodeError
 from relab.features import l2_normalize
 from relab.graph import (
+    _GROUP_COLS,
     _SELECT_ROWS,
-    _WINDOW_COLS,
     AffinityGraph,
     auto_k,
     build_affinity,
@@ -211,29 +211,74 @@ TOPK_INPUTS = {
     "blocks_and_remainder": lambda: np.random.default_rng(5).standard_normal((3001, 16)),
 }
 
-# Inputs wider than the builder's bound window, at k in (1, 5, 50).
-WINDOW_INPUTS = {
+
+def copies_within_groups():
+    """_GROUP_COLS copies of each of g rows, g apart: all the copies of a row
+    share one group, then three other rows past the last group."""
+    rng = np.random.default_rng(9)
+    return np.vstack([np.tile(rng.standard_normal((563, 8)), (_GROUP_COLS, 1)),
+                      rng.standard_normal((3, 8))])
+
+
+# Inputs with more than k = 50 groups per row, so every k in (1, 5, 50)
+# takes the group bound, and with columns past the last group.
+GROUP_INPUTS = {
     "gaussian": lambda: np.random.default_rng(6).standard_normal((4500, 16)),
-    # Four copies of each row, 1125 rows apart: the last copy of rows 721 and
-    # up lies past the window, and every row ties at k = 1, 5 and 50.
-    "window_edge_ties": lambda: np.tile(np.random.default_rng(7).standard_normal((1125, 8)),
-                                        (4, 1)),
-    # 100 orthogonal directions: about 41 positive affinities per row in the
-    # window, so at k = 50 most rows have no positive bound.
+    # Four copies of each row, 1125 rows apart: the copies of a row lie in
+    # four groups, the last four columns are copies, and every row ties at
+    # k = 1, 5 and 50.
+    "copies_across_groups": lambda: np.tile(np.random.default_rng(7).standard_normal((1125, 8)),
+                                            (4, 1)),
+    "copies_within_groups": copies_within_groups,
+    # 100 orthogonal directions: about 44 positive affinities per row, so at
+    # k = 50 most rows have no positive group bound.
     "one_hot_100": lambda: np.eye(100)[np.random.default_rng(8).integers(0, 100, 4500)],
 }
 
 
-def window_bounds(X, k, chunk=500):
-    """Each row's k-th largest affinity among the first _WINDOW_COLS columns."""
+def group_maxima(X, chunk=500):
+    """Each row's group maxima: column j + i * g, i < _GROUP_COLS, is in
+    group j of g = n // _GROUP_COLS."""
     V = l2_normalize(X)
-    bounds = []
-    for start in range(0, len(V), chunk):
-        sims = np.clip(V[start:start + chunk] @ V[:_WINDOW_COLS].T, 0.0, None)
-        rows = np.arange(start, min(start + chunk, _WINDOW_COLS))
+    n = len(V)
+    groups = n // _GROUP_COLS
+    maxima = []
+    for start in range(0, n, chunk):
+        sims = V[start:start + chunk] @ V.T
+        rows = np.arange(start, min(start + chunk, n))
         sims[rows - start, rows] = 0.0
-        bounds.append(-np.partition(-sims, k - 1, axis=1)[:, k - 1])
-    return np.concatenate(bounds)
+        maxima.append(sims[:, :groups * _GROUP_COLS]
+                      .reshape(len(rows), _GROUP_COLS, groups).max(axis=1))
+    return np.concatenate(maxima)
+
+
+def top_groups(X):
+    """How many groups of each row reach its largest affinity."""
+    maxima = group_maxima(X)
+    return (maxima == maxima.max(axis=1, keepdims=True)).sum(axis=1)
+
+
+def kth_largest(values, k):
+    return -np.partition(-values, k - 1, axis=1)[:, k - 1]
+
+
+def tail_columns(X, k, chunk=500):
+    """How many rows keep a column past the last group, and how many cut one
+    that ties at their k-th value."""
+    V = l2_normalize(X)
+    n = len(V)
+    tail = np.arange(n // _GROUP_COLS * _GROUP_COLS, n)
+    kept = cut = 0
+    for start in range(0, n, chunk):
+        sims = np.clip(V[start:start + chunk] @ V.T, 0.0, None)
+        rows = np.arange(start, min(start + chunk, n))
+        sims[rows - start, rows] = 0.0
+        order = np.argsort(-sims, axis=1, kind="stable")
+        ranked = np.take_along_axis(sims, order, axis=1)
+        in_tail = np.isin(order, tail)
+        kept += int(in_tail[:, :k].any(axis=1).sum())
+        cut += int((in_tail[:, k:] & (ranked[:, k:] == ranked[:, k - 1:k])).any(axis=1).sum())
+    return kept, cut
 
 
 class TestTopkMatchesOracle:
@@ -257,31 +302,45 @@ class TestTopkMatchesOracle:
         X = TOPK_INPUTS["one_hot"]()
         assert (X @ X.T - np.eye(len(X))).sum(axis=1).max() < 50
 
-    @pytest.mark.parametrize("name", sorted(WINDOW_INPUTS))
-    def test_bitwise_equal_past_the_window(self, name):
-        X = WINDOW_INPUTS[name]()
+    @pytest.mark.parametrize("name", sorted(GROUP_INPUTS))
+    def test_bitwise_equal_under_the_group_bound(self, name):
+        X = GROUP_INPUTS[name]()
         for k in (1, 5, 50):
             assert_same_csr(build_affinity(X, gamma=3.0, k=k).matrix, oracle_topk(X, 3.0, k))
 
-    def test_window_inputs_reach_positive_and_floored_bounds(self):
-        for name in sorted(WINDOW_INPUTS):
-            assert WINDOW_INPUTS[name]().shape[0] > _WINDOW_COLS, name
-        for name in ("gaussian", "window_edge_ties"):
-            assert window_bounds(WINDOW_INPUTS[name](), 50).min() > 0.0, name
-        # Ties at the k-th value, some of them cut between copies on either
-        # side of the window edge.
-        X = WINDOW_INPUTS["window_edge_ties"]()
+    def test_group_inputs_reach_tails_ties_and_floored_bounds(self):
+        for name in sorted(GROUP_INPUTS):
+            assert 50 < len(GROUP_INPUTS[name]()) // _GROUP_COLS, name
+        for name in ("gaussian", "copies_across_groups", "copies_within_groups"):
+            X = GROUP_INPUTS[name]()
+            assert len(X) % _GROUP_COLS, name
+            assert kth_largest(group_maxima(X), 50).min() > 0.0, name
+        # Copies of a row in four groups: at k = 1 the bound is the row's
+        # largest affinity, and the groups of its other three copies reach
+        # it (two, where the third copy is in the tail).
+        X = GROUP_INPUTS["copies_across_groups"]()
         for k in (1, 5, 50):
-            assert tied_rows(X, k) == X.shape[0], k
-        X = WINDOW_INPUTS["one_hot_100"]()
-        assert window_bounds(X, 5).min() > 0.0
-        # At k = 50 most selection slices mix rows with a positive window
-        # bound and rows whose zero bound is floored to the least positive
-        # float. _BLOCK_ROWS is a multiple of _SELECT_ROWS, so slices start
-        # at multiples of _SELECT_ROWS.
-        positive = window_bounds(X, 50) > 0.0
+            assert tied_rows(X, k) == len(X), k
+        assert set(top_groups(X)) == {2, 3}
+        # Rows keep a tail column at k = 5 and cut a tied one at k = 1.
+        kept, _ = tail_columns(X, 5)
+        _, cut = tail_columns(X, 1)
+        assert kept > 0 and cut > 0
+        assert tail_columns(GROUP_INPUTS["gaussian"](), 50)[0] > 0
+        # Copies of a row in one group: one group maximum stands for all its
+        # tied copies, which the bound reads together.
+        X = GROUP_INPUTS["copies_within_groups"]()
+        assert tied_rows(X, 1) == len(X)
+        assert (top_groups(X) == 1).all()
+        X = GROUP_INPUTS["one_hot_100"]()
+        assert kth_largest(group_maxima(X), 5).min() > 0.0
+        # At k = 50 most selection slices mix rows with a positive bound and
+        # rows whose zero bound is floored to the least positive float.
+        # _BLOCK_ROWS is a multiple of _SELECT_ROWS, so slices start at
+        # multiples of _SELECT_ROWS.
+        positive = kth_largest(group_maxima(X), 50) > 0.0
         slices = [positive[lo:lo + _SELECT_ROWS] for lo in range(0, len(X), _SELECT_ROWS)]
-        assert sum(s.any() and not s.all() for s in slices) > 100
+        assert sum(s.any() and not s.all() for s in slices) > len(slices) // 2
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -298,6 +357,14 @@ class TestTopkMatchesOracle:
 
 
 class TestNormalize:
+    @pytest.mark.parametrize("name", sorted(TOPK_INPUTS))
+    def test_equals_two_diagonal_products(self, name):
+        for k in (5, None):
+            graph = build_affinity(TOPK_INPUTS[name](), k=k)
+            A = graph.matrix
+            scaler = sp.diags(1.0 / np.sqrt(np.asarray(A.sum(axis=1)).ravel()))
+            assert_same_csr(normalize(graph).s, (scaler @ A @ scaler).tocsr())
+
     def test_unit_degrees(self):
         g = normalize(csr_graph([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(g.degrees, [1.0, 1.0])
