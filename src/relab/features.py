@@ -61,12 +61,10 @@ def load_features(path):
     return X.astype(np.float64)
 
 
-def save_features(path, X):
-    """Write a matrix as a RELF file (values stored as little-endian float32).
-
-    Returns the stored float32 array; widened to float64 it is what
-    load_features reads back.
-    """
+def stored_features(X):
+    """X as a RELF file stores it: a little-endian float32 array; widened
+    to float64 it is what load_features reads back. Raises DataError
+    unless X is 2-D, non-empty and finite in float32."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X.shape}")
@@ -75,11 +73,15 @@ def save_features(path, X):
     if not np.all(np.isfinite(stored)):
         raise DataError("refusing to write non-finite feature values "
                         "(float32 holds magnitudes up to 3.4e38)")
-    n, d = X.shape
-    with atomic_write(path) as handle:
-        handle.write(HEADER.pack(RELF_MAGIC, RELF_VERSION, n, d))
-        handle.write(stored.tobytes())
     return stored
+
+
+def save_features(path, X):
+    """Write a matrix as a RELF file (values stored as little-endian float32)."""
+    stored = stored_features(X)
+    with atomic_write(path) as handle:
+        handle.write(HEADER.pack(RELF_MAGIC, RELF_VERSION, *stored.shape))
+        handle.write(stored.tobytes())
 
 
 def check_eps(eps):

@@ -8,8 +8,8 @@ positive affinity, which is the dense graph.
 
 There is one construction for both. It never holds the N x N
 similarities: it computes them in blocks of _BLOCK_ROWS rows with one
-float64 GEMM each, written into a buffer allocated once, and selects each
-block _SELECT_ROWS rows at a time.
+float64 GEMM each, written into a buffer allocated once, and selects
+each block's neighbours before the next GEMM.
 
 Each row keeps only its survivors: the affinities at or above a positive
 bound, packed into a small padded matrix in column order. When k is below
@@ -24,10 +24,10 @@ n % _GROUP_COLS columns, which are in no group: about 51 survivors of
 dense graph, the bound is the smallest positive float. Zeros never
 survive, so a row with fewer than k positive affinities keeps them all.
 
-A slice in which no row has more than k survivors keeps them as they are,
-as the dense graph (k = n - 1) always does. Otherwise each row keeps its
-survivors above its k-th largest and, of those equal to it, the lowest
-columns until it has k, so ties keep the lowest column indices. The kept
+A block in which no row has more than k survivors keeps them as they
+are, as the dense graph (k = n - 1) always does. Otherwise one stable
+sort per block orders each row's packed survivors, and each row keeps
+its first k: ties at the k-th value keep the lowest columns. The kept
 columns go straight into a CSR from per-row counts.
 """
 
@@ -55,10 +55,6 @@ RELG_VERSION = 1
 # BLAS blocks the product by its shape, and 128-row blocks already change
 # some values, so changing it changes graph files.
 _BLOCK_ROWS = 256
-# Rows selected together inside a block; the kept set does not depend on it.
-# At N = 10k, 128 rows built the graph faster than 16, 32 or 64 and as fast
-# as 256.
-_SELECT_ROWS = 128
 # Columns per group; a row's group maxima bound its k-th largest affinity
 # from below. The kept set does not depend on it.
 _GROUP_COLS = 8
@@ -130,16 +126,13 @@ def _topk_affinity(V, gamma, k):
         block = buffer[:stop - start]
         np.matmul(V[start:stop], V.T, out=block)
         block[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        for lo in range(start, stop, _SELECT_ROWS):
-            rows = block[lo - start:lo - start + _SELECT_ROWS]
-            if k < groups:
-                flat = _group_survivors(rows, groups, k)
-            else:
-                flat = np.flatnonzero(rows >= _MIN_POSITIVE)
-            row_counts, row_cols, row_vals = _select_survivors(rows, flat, k)
-            counts[lo:lo + rows.shape[0]] = row_counts
-            cols.append(row_cols)
-            vals.append(row_vals)
+        if k < groups:
+            flat = _group_survivors(block, groups, k)
+        else:
+            flat = np.flatnonzero(block >= _MIN_POSITIVE)
+        counts[start:stop], row_cols, row_vals = _select_survivors(block, flat, k)
+        cols.append(row_cols)
+        vals.append(row_vals)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     data = np.power(np.concatenate(vals), gamma)
@@ -175,34 +168,27 @@ def _select_survivors(rows, flat, k):
 
     flat holds the sorted flat indices into rows of the survivors: every
     entry at or above a positive bound no larger than its row's k-th
-    largest. A row keeps its k strongest survivors, or all of them when it
-    has at most k.
+    largest. A row keeps its k strongest survivors, ties to the lowest
+    columns, or all of them when it has at most k.
     """
     m, n = rows.shape
     x = rows.ravel()[flat]
-    ends = np.searchsorted(flat, np.arange(1, m + 1) * n)
-    row_counts = np.diff(ends, prepend=0)
+    row_counts = np.diff(np.searchsorted(flat, np.arange(m + 1) * n))
     # Columns in place: at k = n - 1 the survivors are the result, and a
-    # row-index temporary beside each slice's kept arrays fragmented the
+    # row-index temporary beside each block's kept arrays fragmented the
     # heap enough to raise the pipeline's peak RSS by 7 MB at N = 2000.
     c = np.remainder(flat, n, out=flat)
     if row_counts.max() <= k:
         return row_counts, c, x
-    starts = ends - row_counts
-    r = np.repeat(np.arange(m), row_counts)
-    # Survivors packed left in column order; the zero padding sorts after
-    # every survivor, so a row with fewer than k survivors gets kth = -0.0.
-    neg = np.zeros((m, int(row_counts.max())))
-    neg[r, np.arange(c.size) - starts[r]] = -x
-    kth = -np.partition(neg, k - 1, axis=1)[r, k - 1]
-    # A row keeps every survivor above its k-th largest and, of those equal
-    # to it, the lowest columns until it has k.
-    above = x > kth
-    tied = x == kth
-    tied_before = np.concatenate(([0], np.cumsum(tied)))
-    tied_rank = tied_before[1:] - tied_before[starts][r]
-    room = k - np.bincount(r[above], minlength=m)
-    keep = above | (tied & (tied_rank <= room[r]))
+    # Survivors packed left in column order, so the stable sort keeps the
+    # lowest columns among ties; the zero padding sorts after every survivor
+    # and is never kept.
+    packed = np.arange(row_counts.max()) < row_counts[:, None]
+    neg = np.zeros(packed.shape)
+    neg[packed] = -x
+    keep = np.zeros_like(packed)
+    np.put_along_axis(keep, np.argsort(neg, axis=1, kind="stable")[:, :k], True, axis=1)
+    keep = keep[packed]
     return np.minimum(row_counts, k), c[keep], x[keep]
 
 

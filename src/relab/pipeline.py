@@ -3,10 +3,12 @@
 Each step's public ``*_step`` function reads the step's inputs from files
 and hands them to a shared compute part, which works on the values,
 writes the step's artifact and returns the step's summary with the value
-the next step needs. The one-shot pipeline reads its inputs once and hands
-those values along the chain in memory, writing every artifact once and
-reading none back. Each value handed on is what the loader would return
-from the file just written, so the pipeline is byte-identical to running
+the next step needs. The whiten and graph parts leave the writing to their
+caller, so that the one-shot pipeline can build and check the graph before
+it creates its output directory. The pipeline reads its inputs once and
+hands those values along the chain in memory, writing every artifact once
+and reading none back. Each value handed on is what the loader would
+return from the file written, so the pipeline is byte-identical to running
 the subcommands by hand with the same parameters, which the test suite
 checks.
 """
@@ -32,7 +34,8 @@ from .diffusion import (
     save_seeds,
 )
 from .errors import ConfigError, DataError, DegenerateInputError
-from .features import check_eps, l2_normalize, load_features, pca_whiten, save_features
+from .features import (check_eps, l2_normalize, load_features, pca_whiten, save_features,
+                       stored_features)
 from .fileio import load_truth, save_json, save_truth
 from .graph import (DEFAULT_GAMMA, auto_k, build_affinity, check_affinity, load_graph,
                     normalize, save_graph)
@@ -103,31 +106,42 @@ def load_config_file(path):
 
 
 def whiten_step(in_path, out_path, eps=1e-10):
-    return _whiten(load_features(in_path), out_path, eps)[0]
+    summary, stored = _whiten(load_features(in_path), out_path, eps)
+    save_features(out_path, stored)
+    return summary
 
 
 def _whiten(X, out_path, eps):
-    """Whiten X and write it; returns (summary, the written matrix as
-    load_features reads it back: float32-rounded, widened to float64)."""
+    """Whiten X; returns (summary of writing it to out_path, the float32
+    array save_features writes there; widened to float64, it is what
+    load_features reads back)."""
     whitened, stats = pca_whiten(X, eps=eps)
-    whitened = save_features(out_path, whitened)
     return {
         "step": "whiten",
         "n": X.shape[0],
         "dims_in": X.shape[1],
         "dims_kept": stats.kept,
         "out": str(out_path),
-    }, whitened.astype(np.float64)
+    }, stored_features(whitened)
 
 
 def graph_step(features_path, out_path, gamma=DEFAULT_GAMMA, k=None):
     """Build and write the affinity graph; k=None applies auto_k to the sample count."""
-    return _graph(load_features(features_path), features_path, out_path, gamma, k)[0]
+    summary, graph = _graph(load_features(features_path), features_path, out_path, gamma, k)
+    save_graph(out_path, graph)
+    return summary
+
+
+def _spread(values):
+    """The min, median and max of a step's integer counts, for its summary."""
+    return {"min": int(values.min()), "median": float(np.median(values)),
+            "max": int(values.max())}
 
 
 def _graph(X, features_path, out_path, gamma, k):
-    """Build the graph over X (read from features_path) and write it;
-    returns (summary, graph)."""
+    """Build the graph over X, the features of features_path; returns
+    (summary of writing it to out_path, graph). The graph is a canonical
+    CSR, as save_graph writes it and load_graph returns it."""
     if k is None:
         k = auto_k(X.shape[0])
     graph = build_affinity(X, gamma=gamma, k=k)
@@ -136,16 +150,12 @@ def _graph(X, features_path, out_path, gamma, k):
         raise DegenerateInputError(
             f"{features_path}: no pair of the {graph.n} samples has a positive cosine, "
             "so the graph has no edges")
-    # Sorts the CSR and drops duplicates and zeros in place, as load_graph returns it.
-    save_graph(out_path, graph)
-    neighbors = np.diff(graph.matrix.indptr)
     return {
         "step": "graph",
         "n": graph.n,
         "nnz": int(graph.matrix.nnz),
         "nnz_per_row": graph.matrix.nnz / graph.n,
-        "neighbors": {"min": int(neighbors.min()), "median": float(np.median(neighbors)),
-                      "max": int(neighbors.max())},
+        "neighbors": _spread(np.diff(graph.matrix.indptr)),
         "gamma": gamma,
         "k": k,
         "out": str(out_path),
@@ -182,10 +192,8 @@ def _propagate(seeds, source, out_path, method, alpha, tol, max_iter):
         Y = build_label_matrix(seeds, source.n)
         result = diffuse(source, Y, alpha=alpha, tol=tol, max_iter=max_iter, seeds=seeds)
         labels, retrieval = result.labels, result.retrieval_score
-        its = result.iterations
         extra = {"alpha": alpha, "residual": result.residual,
-                 "cg_iterations": {"min": int(its.min()), "median": float(np.median(its)),
-                                   "max": int(its.max())},
+                 "cg_iterations": _spread(result.iterations),
                  "zero_rows": len(result.zero_rows)}
     else:
         labels, retrieval = nn_propagate(source, seeds)
@@ -342,13 +350,14 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     """Run whiten -> graph -> propagate -> select (-> evaluate) into out_dir.
 
     The raw features, the seeds and the truth are read once, and every
-    option the run uses is checked against them before out_dir is created. Each step
-    then hands its result to the next in memory, through the same compute
-    part its subcommand runs: every artifact is written once and none is
-    read back. The values handed on are what the loaders would return
-    from the files just written, so the artifacts and step summaries match
-    a manual chain of the subcommands exactly. Returns the list of
-    per-step summaries.
+    option the run uses is checked against them; the features are then
+    whitened and the graph is built and normalized, which refuse degenerate
+    data, before out_dir is created. Each step hands its result to the next
+    in memory, through the same compute part its subcommand runs: every
+    artifact is written once and none is read back. The values handed on
+    are what the loaders would return from the files written, so the
+    artifacts and step summaries match a manual chain of the subcommands
+    exactly. Returns the list of per-step summaries.
     """
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -370,20 +379,26 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     check_budget(seeds, n_r)
     if truth is not None:
         _check_truth(truth, n, seeds.n_classes, truth_path)
-    os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
         return os.path.join(out_dir, name)
 
     # Between steps at most one feature matrix and one graph are alive: each
-    # rebinding or del below drops a value no later step reads.
+    # rebinding or del below drops a value no later step reads. The file is
+    # written from the widened copy, which rounds back to the same bytes, so
+    # no float32 copy is alive during the graph build.
     summary, X = _whiten(X, path(WHITENED_NAME), eps)
+    X = X.astype(np.float64)
     steps = [summary]
     source = X
     if method == "diffusion":
-        summary, graph = _graph(X, path(WHITENED_NAME), path(GRAPH_NAME), gamma, k)
+        summary, graph = _graph(X, features_path, path(GRAPH_NAME), gamma, k)
         steps.append(summary)
         source = normalize(graph)
+    os.makedirs(out_dir, exist_ok=True)
+    save_features(path(WHITENED_NAME), X)
+    if method == "diffusion":
+        save_graph(path(GRAPH_NAME), graph)
         del graph
     summary, labels, retrieval = _propagate(seeds, source, path(PROPAGATED_NAME), method,
                                             alpha, tol, max_iter)

@@ -100,6 +100,7 @@ PIPELINE_REFUSALS = {
     "tol": (["--tol", "-1"], 2, "tol must be finite and positive"),
     "max-iter": (["--max-iter", "0"], 2, "max_iter must be >= 1"),
     "gamma": (["--gamma", "0"], 2, "gamma must be positive"),
+    "gamma-underflow": (["--gamma", "1e6"], 2, "underflows a positive affinity to 0"),
     "k-zero": (["--k", "0"], 2, "k must satisfy 1 <= k < n_samples=120"),
     "k-above-n": (["--k", "20000"], 2, "k must satisfy 1 <= k < n_samples=120"),
     "nr-indivisible": (["--nr", "41"], 2, "n_r=41 is not divisible by n_classes=4"),
@@ -224,6 +225,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: no default n_r") and "Traceback" not in err, err
         assert list(run.iterdir()) == []
+
+    @pytest.mark.parametrize("per_class, dims, message", [
+        # Whitened, 6 samples in 8 dims form a regular simplex: no edge.
+        (3, 8, "no pair of the 6 samples has a positive cosine"),
+        # Whitened, 4 samples in 2 dims leave a node with no positive cosine.
+        (2, 2, "isolated node(s)"),
+    ], ids=["no-edge", "isolated-node"])
+    def test_pipeline_graph_refusals_write_nothing(self, tmp_path, capsys, per_class, dims,
+                                                   message):
+        assert main(["--quiet", "synth", "--classes", "2", "--per-class", str(per_class),
+                     "--dims", str(dims), "--seeds-per-class", "1",
+                     "--out-features", str(tmp_path / "f.relf"),
+                     "--out-truth", str(tmp_path / "t.json"),
+                     "--out-seeds", str(tmp_path / "s.json")]) == 0
+        run = tmp_path / "run"
+        assert main(["pipeline", "--features", str(tmp_path / "f.relf"),
+                     "--seeds", str(tmp_path / "s.json"), "--truth", str(tmp_path / "t.json"),
+                     "--nr", "2", "--out-dir", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+        assert not run.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--out-seeds", "s.json"], "writing a seeds file needs seeds-per-class"),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError, IsolatedNodeError
 from relab.features import l2_normalize
 from relab.graph import (
+    _BLOCK_ROWS,
     _GROUP_COLS,
-    _SELECT_ROWS,
     AffinityGraph,
     auto_k,
     build_affinity,
@@ -262,6 +262,18 @@ def kth_largest(values, k):
     return -np.partition(-values, k - 1, axis=1)[:, k - 1]
 
 
+def survivor_counts(X, bounds, chunk=500):
+    """How many affinities of each row are at or above its bound."""
+    V = l2_normalize(X)
+    counts = []
+    for start in range(0, len(V), chunk):
+        sims = V[start:start + chunk] @ V.T
+        rows = np.arange(start, min(start + chunk, len(V)))
+        sims[rows - start, rows] = 0.0
+        counts.append((sims >= bounds[rows, None]).sum(axis=1))
+    return np.concatenate(counts)
+
+
 def tail_columns(X, k, chunk=500):
     """How many rows keep a column past the last group, and how many cut one
     that ties at their k-th value."""
@@ -334,13 +346,17 @@ class TestTopkMatchesOracle:
         assert (top_groups(X) == 1).all()
         X = GROUP_INPUTS["one_hot_100"]()
         assert kth_largest(group_maxima(X), 5).min() > 0.0
-        # At k = 50 most selection slices mix rows with a positive bound and
-        # rows whose zero bound is floored to the least positive float.
-        # _BLOCK_ROWS is a multiple of _SELECT_ROWS, so slices start at
-        # multiples of _SELECT_ROWS.
-        positive = kth_largest(group_maxima(X), 50) > 0.0
-        slices = [positive[lo:lo + _SELECT_ROWS] for lo in range(0, len(X), _SELECT_ROWS)]
-        assert sum(s.any() and not s.all() for s in slices) > len(slices) // 2
+        # At k = 50 most blocks mix rows with a positive bound and rows
+        # whose zero bound is floored to the least positive float, and some
+        # mix rows with fewer than k survivors and rows with more, so the
+        # stable sort sees padding it must drop.
+        bounds = kth_largest(group_maxima(X), 50)
+        survivors = survivor_counts(X, np.maximum(bounds, np.nextafter(0.0, 1.0)))
+        starts = range(0, len(X), _BLOCK_ROWS)
+        positive = [bounds[lo:lo + _BLOCK_ROWS] > 0.0 for lo in starts]
+        assert sum(p.any() and not p.all() for p in positive) > len(positive) // 2
+        assert any((s < 50).any() and (s > 50).any()
+                   for s in (survivors[lo:lo + _BLOCK_ROWS] for lo in starts))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
