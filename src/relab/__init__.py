@@ -47,9 +47,7 @@ from .graph import (
 from .metrics import NoiseReport, compare_selection, noise_report
 from .pipeline import load_config_file, run_pipeline
 from .selection import (
-    LossTrace,
     ProbeConfig,
-    ReliableEntry,
     ReliableSet,
     load_reliable,
     save_reliable,
@@ -70,12 +68,10 @@ __all__ = [
     "FormatError",
     "GenerationError",
     "IsolatedNodeError",
-    "LossTrace",
     "NoiseReport",
     "NormalizedGraph",
     "ProbeConfig",
     "RelabError",
-    "ReliableEntry",
     "ReliableSet",
     "SeedLabels",
     "SolverError",

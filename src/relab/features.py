@@ -84,12 +84,6 @@ def save_features(path, X):
         handle.write(stored.tobytes())
 
 
-def check_eps(eps):
-    """Raise ConfigError unless 0 < eps < 1."""
-    if not 0 < eps < 1:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-
-
 def pca_whiten(X, eps=1e-10):
     """PCA-whiten rows of X; returns (whitened matrix, WhitenStats).
 
@@ -99,10 +93,11 @@ def pca_whiten(X, eps=1e-10):
     numerically null directions are dropped, however small eps is). The
     output has zero mean and identity sample covariance on the kept
     components. Uses the D x D covariance eigendecomposition when D <= N
-    and the N x N Gram (dual) path otherwise. Raises ConfigError for an
-    eps check_eps refuses.
+    and the N x N Gram (dual) path otherwise. Raises ConfigError unless
+    0 < eps < 1.
     """
-    check_eps(eps)
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:

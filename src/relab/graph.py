@@ -84,14 +84,6 @@ def auto_k(n):
     return None if n <= DENSE_NODE_LIMIT else DEFAULT_SPARSE_K
 
 
-def check_affinity(n, gamma, k):
-    """Raise ConfigError unless gamma > 0 and k is None or 1 <= k < n."""
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-    if k is not None and not 1 <= k < n:
-        raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
-
-
 def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     """Build the affinity graph over the rows of X.
 
@@ -99,11 +91,14 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
     its k largest affinities (ties broken toward lower column index), then
     A is symmetrized entrywise as max(A_ij, A_ji). k=None keeps every
     positive affinity (the dense graph) through the same blocked loop.
-    Raises ConfigError for the settings check_affinity refuses, and when
-    gamma underflows a kept affinity to zero.
+    Raises ConfigError unless gamma > 0 and k is None or 1 <= k < N, and
+    when gamma underflows a kept affinity to zero.
     """
     n = len(X)
-    check_affinity(n, gamma, k)
+    if not gamma > 0:
+        raise ConfigError(f"gamma must be positive, got {gamma}")
+    if k is not None and not 1 <= k < n:
+        raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
     V = l2_normalize(X)
     matrix = _topk_affinity(V, float(gamma), n - 1 if k is None else int(k))
     return AffinityGraph(n=n, matrix=matrix)

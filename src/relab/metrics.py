@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .selection import ORIGIN_BOOTSTRAPPED, ORIGIN_SEED
 
 
 @dataclass
@@ -91,24 +92,20 @@ def compare_selection(rset, truth, n_classes):
     Raises DataError when an entry's index falls outside the truth array.
     """
     truth = np.asarray(truth, dtype=np.int64)
-    indices = rset.indices()
-    labels = rset.labels()
-    for idx in indices:
-        if idx < 0 or idx >= truth.shape[0]:
-            raise DataError(
-                f"reliable entry index {idx} out of range for {truth.shape[0]} truth labels"
-            )
-    report = noise_report(labels, truth[indices], n_classes)
+    n = truth.shape[0]
+    outside = (rset.index < 0) | (rset.index >= n)
+    if outside.any():
+        raise DataError(
+            f"reliable entry index {rset.index[outside][0]} out of range for {n} truth labels"
+        )
+    entry_truth = truth[rset.index]
+    report = noise_report(rset.label, entry_truth, n_classes)
 
-    origin_counts = {}
-    origin_wrong = {}
-    for entry in rset.entries:
-        origin_counts[entry.origin] = origin_counts.get(entry.origin, 0) + 1
-        if entry.label != truth[entry.index]:
-            origin_wrong[entry.origin] = origin_wrong.get(entry.origin, 0) + 1
-    report.origin_counts = origin_counts
-    report.origin_noise_pct = {
-        origin: 100.0 * origin_wrong.get(origin, 0) / count
-        for origin, count in origin_counts.items()
-    }
+    wrong = rset.label != entry_truth
+    report.origin_counts, report.origin_noise_pct = {}, {}
+    for origin, members in ((ORIGIN_SEED, rset.is_seed), (ORIGIN_BOOTSTRAPPED, ~rset.is_seed)):
+        count = int(np.count_nonzero(members))
+        if count:
+            report.origin_counts[origin] = count
+            report.origin_noise_pct[origin] = 100.0 * int(np.count_nonzero(wrong[members])) / count
     return report

@@ -34,11 +34,10 @@ from .diffusion import (
     save_seeds,
 )
 from .errors import ConfigError, DataError, DegenerateInputError
-from .features import (check_eps, l2_normalize, load_features, pca_whiten, save_features,
+from .features import (l2_normalize, load_features, pca_whiten, save_features,
                        stored_features)
 from .fileio import load_truth, save_json, save_truth
-from .graph import (DEFAULT_GAMMA, auto_k, build_affinity, check_affinity, load_graph,
-                    normalize, save_graph)
+from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
 from .metrics import compare_selection, noise_report
 from .selection import (
     ProbeConfig,
@@ -245,8 +244,8 @@ def _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe):
     read it."""
     if strategy == "small-loss":
         cfg = probe if probe is not None else ProbeConfig()
-        trace = train_probe(unit, labels, cfg, seeds.n_classes)
-        rset = select_reliable(trace, labels, seeds, n_r)
+        losses = train_probe(unit, labels, cfg, seeds.n_classes)
+        rset = select_reliable(losses, labels, seeds, n_r)
     else:
         rset = select_by_retrieval_score(labels, retrieval, seeds, n_r)
     save_reliable(out_path, rset)
@@ -350,9 +349,10 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     """Run whiten -> graph -> propagate -> select (-> evaluate) into out_dir.
 
     The raw features, the seeds and the truth are read once, and every
-    option the run uses is checked against them; the features are then
-    whitened and the graph is built and normalized, which refuse degenerate
-    data, before out_dir is created. Each step hands its result to the next
+    option the run uses is checked against them before out_dir is created:
+    the seed, solver, budget and truth checks come first, and whitening
+    the features and building and normalizing the graph check eps, gamma
+    and k and refuse degenerate data. Each step hands its result to the next
     in memory, through the same compute part its subcommand runs: every
     artifact is written once and none is read back. The values handed on
     are what the loaders would return from the files written, so the
@@ -367,12 +367,10 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     seeds = load_seeds(seeds_path)
     truth = None if truth_path is None else load_truth(truth_path)
     n = X.shape[0]
-    check_eps(eps)
     seeds.check_fits(n)
     if strategy == "small-loss":
         check_probe_classes(list(seeds.assignments.values()))
     if method == "diffusion":
-        check_affinity(n, gamma, auto_k(n) if k is None else k)
         check_solver(alpha, tol, max_iter)
     if n_r is None:
         n_r = default_nr(seeds.n_classes)

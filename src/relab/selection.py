@@ -53,36 +53,22 @@ class ProbeConfig:
 
 
 @dataclass
-class LossTrace:
-    """Per-sample cross-entropy of each window epoch, plus their average."""
-
-    window_losses: np.ndarray  # average_window x N
-    averaged_loss: np.ndarray  # N
-
-
-@dataclass
-class ReliableEntry:
-    index: int
-    label: int
-    origin: str  # "seed" | "bootstrapped"
-    score: float  # avg_loss or retrieval_score, per the selection strategy
-
-
-@dataclass
 class ReliableSet:
-    """The extended labeled set: seeds plus per-class trusted candidates."""
+    """The extended labeled set: seeds plus per-class trusted candidates.
 
-    entries: list[ReliableEntry]
+    index, label, is_seed and score are equal-length columns, one row per
+    entry: each class's seeds, then its chosen candidates. score is the
+    entry's avg_loss or retrieval_score, as score_kind names.
+    """
+
+    index: np.ndarray  # int64
+    label: np.ndarray  # int64
+    is_seed: np.ndarray  # bool
+    score: np.ndarray  # float64
     per_class_count: np.ndarray
     target_per_class: int
     score_kind: str  # "avg_loss" | "retrieval_score"
     warnings: list[str] = field(default_factory=list)
-
-    def indices(self):
-        return np.array([e.index for e in self.entries], dtype=np.int64)
-
-    def labels(self):
-        return np.array([e.label for e in self.entries], dtype=np.int64)
 
 
 def check_probe_classes(labels):
@@ -93,14 +79,16 @@ def check_probe_classes(labels):
 
 @np.errstate(over="ignore", invalid="ignore")
 def train_probe(X, labels, cfg, n_classes):
-    """Train a linear softmax probe with SGD+momentum; record per-sample losses.
+    """Train a linear softmax probe with SGD+momentum; return each sample's
+    cross-entropy averaged over the final cfg.average_window epochs.
 
     Every label must lie in [0, n_classes). Training runs in float32: X
     is cast once, and each batch takes one exp. At the end of each of the
     final cfg.average_window epochs the float32 loss of every sample is
     evaluated over the full set (no augmentation, no batch-order noise)
-    and stored in float64; averaged_loss is their float64 mean. Earlier
-    epochs only train.
+    and added to a float64 running sum started at zero; the result is
+    that sum divided by cfg.average_window, a float64 array of N losses.
+    Earlier epochs only train.
     Every epoch checks for divergence, the weights before the window and
     the losses inside it, and raises TrainingDivergedError in place of
     numpy's overflow warnings. Deterministic given cfg.rng_seed: the rng
@@ -127,7 +115,7 @@ def train_probe(X, labels, cfg, n_classes):
     rows = np.arange(n)
     first_window_epoch = cfg.epochs - cfg.average_window
 
-    window = np.empty((cfg.average_window, n))
+    total = np.zeros(n)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -169,9 +157,9 @@ def train_probe(X, labels, cfg, n_classes):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch} (learning rate too high?)"
             )
-        window[epoch - first_window_epoch] = losses
+        total += losses
 
-    return LossTrace(window_losses=window, averaged_loss=window.mean(axis=0))
+    return total / cfg.average_window
 
 
 def check_budget(seeds, n_r):
@@ -201,29 +189,27 @@ def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
     is_seed = np.zeros(n, dtype=bool)
     is_seed[list(seeds.assignments)] = True
 
-    entries = []
+    parts = []
     warnings = []
     per_class = np.zeros(c, dtype=np.int64)
     key = -scores if descending else scores
     for cls in range(c):
-        for idx in seed_groups[cls]:
-            entries.append(ReliableEntry(int(idx), cls, ORIGIN_SEED, float(scores[idx])))
         slots = target - len(seed_groups[cls])
         candidates = np.flatnonzero((labels == cls) & ~is_seed)
-        ranked = candidates[np.lexsort((candidates, key[candidates]))]
-        chosen = ranked[:slots]
+        chosen = candidates[np.lexsort((candidates, key[candidates]))][:slots]
         if chosen.size < slots:
             warnings.append(
                 f"class {cls}: only {chosen.size} candidate(s) for {slots} slot(s)"
             )
-        for idx in chosen:
-            entries.append(
-                ReliableEntry(int(idx), cls, ORIGIN_BOOTSTRAPPED, float(scores[idx]))
-            )
+        parts += [np.asarray(seed_groups[cls], dtype=np.int64), chosen]
         per_class[cls] = len(seed_groups[cls]) + chosen.size
 
+    index = np.concatenate(parts)
     return ReliableSet(
-        entries=entries,
+        index=index,
+        label=np.repeat(np.arange(c, dtype=np.int64), per_class),
+        is_seed=is_seed[index],
+        score=scores[index],
         per_class_count=per_class,
         target_per_class=target,
         score_kind=score_kind,
@@ -231,16 +217,17 @@ def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
     )
 
 
-def select_reliable(trace, labels, seeds, n_r):
+def select_reliable(losses, labels, seeds, n_r):
     """Class-balanced small-loss selection.
 
+    losses holds each sample's averaged loss, as train_probe returns it.
     Per class: all seeds, then the candidates with that propagated label in
-    ascending averaged-loss order (ties to the lower sample index) until
-    n_r/C entries are reached. Classes short on candidates are filled as
-    far as possible and recorded in warnings.
+    ascending loss order (ties to the lower sample index) until n_r/C
+    entries are reached. Classes short on candidates are filled as far as
+    possible and recorded in warnings.
     """
     return _select_balanced(
-        labels, trace.averaged_loss, seeds, n_r, descending=False, score_kind="avg_loss"
+        labels, losses, seeds, n_r, descending=False, score_kind="avg_loss"
     )
 
 
@@ -260,12 +247,14 @@ def save_reliable(path, rset):
     """Write a reliable set as JSON lines plus a trailing summary record."""
     entries = (
         {
-            "index": entry.index,
-            "class": entry.label,
-            "origin": entry.origin,
-            rset.score_kind: entry.score,
+            "index": index,
+            "class": label,
+            "origin": ORIGIN_SEED if is_seed else ORIGIN_BOOTSTRAPPED,
+            rset.score_kind: score,
         }
-        for entry in rset.entries
+        for index, label, is_seed, score in zip(
+            rset.index.tolist(), rset.label.tolist(), rset.is_seed.tolist(), rset.score.tolist()
+        )
     )
     summary = {
         "summary": True,
@@ -291,7 +280,7 @@ def load_reliable(path):
     if score_kind not in ("avg_loss", "retrieval_score"):
         raise FormatError(f"{path}: unknown score_kind {score_kind!r}")
     schema = {"index": int, "class": int, "origin": str, score_kind: float}
-    entries, seen = [], set()
+    rows, seen = [], set()
     for record in records:
         index, label, origin, score = typed(path, "entry", record, schema)
         if origin not in (ORIGIN_SEED, ORIGIN_BOOTSTRAPPED):
@@ -299,10 +288,13 @@ def load_reliable(path):
         if index in seen:
             raise FormatError(f"{path}: sample index {index} listed twice")
         seen.add(index)
-        entries.append(ReliableEntry(index=index, label=label, origin=origin,
-                                     score=float(score)))
+        rows.append((index, label, origin == ORIGIN_SEED, score))
+    index, label, is_seed, score = zip(*rows) if rows else ((),) * 4
     return ReliableSet(
-        entries=entries,
+        index=np.array(index, dtype=np.int64),
+        label=np.array(label, dtype=np.int64),
+        is_seed=np.array(is_seed, dtype=bool),
+        score=np.array(score, dtype=np.float64),
         per_class_count=np.asarray(counts, dtype=np.int64),
         target_per_class=target,
         score_kind=score_kind,

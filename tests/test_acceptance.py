@@ -24,7 +24,7 @@ from relab.pipeline import (
     run_pipeline,
     synth_step,
 )
-from relab.selection import ORIGIN_BOOTSTRAPPED, ORIGIN_SEED, ProbeConfig, select_reliable, train_probe
+from relab.selection import ORIGIN_BOOTSTRAPPED, ProbeConfig, select_reliable, train_probe
 from relab.synth import SynthConfig, generate, pick_seeds
 
 from conftest import seeds_of
@@ -95,10 +95,10 @@ def bootstrap_runs():
         result, W = propagate_chain(X, seeds)
         labels = result.labels
         prop_noise = noise_report(labels, truth, 10).overall_noise_pct
-        trace = train_probe(l2_normalize(W), labels, ProbeConfig(), n_classes=10)
+        losses = train_probe(l2_normalize(W), labels, ProbeConfig(), n_classes=10)
         selections = {}
         for per_class in BOOT_SIZES:
-            rset = select_reliable(trace, labels, seeds, n_r=per_class * 10)
+            rset = select_reliable(losses, labels, seeds, n_r=per_class * 10)
             report = compare_selection(rset, truth, 10)
             selections[per_class] = {"rset": rset, "report": report}
         runs.append({
@@ -205,7 +205,7 @@ class TestCriterion6BalanceAndSeeds:
             for per_class, sel in run["selections"].items():
                 rset = sel["rset"]
                 checked += 1
-                entry_classes = {e.index: e.label for e in rset.entries}
+                entry_classes = dict(zip(rset.index.tolist(), rset.label.tolist()))
                 for idx, cls in seeds.assignments.items():
                     if entry_classes.get(idx) != cls:
                         failures.append(f"run {run_idx} n_r/C={per_class}: "

@@ -1009,6 +1009,14 @@ class TestStrictLoaders:
         assert_mutation_refused(workspace, chained, tmp_path, capsys,
                                 kind, key, value, commands, message)
 
+    # The chain has N = 120 samples; truth[-1] would read the last label.
+    @pytest.mark.parametrize("index", [-1, 120])
+    def test_reliable_index_outside_truth_exits_3(self, workspace, chained, tmp_path,
+                                                  capsys, index):
+        assert_mutation_refused(workspace, chained, tmp_path, capsys,
+                                "reliable", "index", index, ["evaluate"],
+                                f"reliable entry index {index} out of range for 120 truth labels")
+
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     def test_propagated_file_without_summary_exits_3(self, workspace, chained, tmp_path,
                                                      capsys, command):

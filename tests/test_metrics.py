@@ -3,14 +3,17 @@ import pytest
 
 from relab.errors import ConfigError, DataError
 from relab.metrics import compare_selection, noise_report
-from relab.selection import ORIGIN_BOOTSTRAPPED, ORIGIN_SEED, ReliableEntry, ReliableSet
+from relab.selection import ORIGIN_BOOTSTRAPPED, ORIGIN_SEED, ReliableSet
 
 
 def rset_from(pairs, per_class_count):
     """pairs: (index, label, origin) triples; score is irrelevant here."""
-    entries = [ReliableEntry(i, lbl, origin, 0.0) for i, lbl, origin in pairs]
+    index, label, origin = zip(*pairs)
     return ReliableSet(
-        entries=entries,
+        index=np.array(index, dtype=np.int64),
+        label=np.array(label, dtype=np.int64),
+        is_seed=np.array(origin) == ORIGIN_SEED,
+        score=np.zeros(len(pairs)),
         per_class_count=np.asarray(per_class_count, dtype=np.int64),
         target_per_class=max(per_class_count),
         score_kind="avg_loss",
@@ -123,10 +126,13 @@ class TestCompareSelection:
         assert report.origin_noise_pct[ORIGIN_BOOTSTRAPPED] == pytest.approx(4.0)
 
     def test_entry_index_out_of_range(self):
+        # truth[-1] would read the last label: a negative index is refused too.
         truth = np.array([0, 1])
-        rset = rset_from([(0, 0, ORIGIN_SEED), (7, 1, ORIGIN_SEED)], [1, 1])
-        with pytest.raises(DataError):
-            compare_selection(rset, truth, 2)
+        for index in (7, 2, -1):
+            rset = rset_from([(0, 0, ORIGIN_SEED), (index, 1, ORIGIN_BOOTSTRAPPED)], [1, 1])
+            with pytest.raises(DataError, match=f"reliable entry index {index} out of range "
+                                                "for 2 truth labels"):
+                compare_selection(rset, truth, 2)
 
     def test_explicit_n_classes(self):
         truth = np.array([0, 0, 1, 1])

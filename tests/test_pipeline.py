@@ -27,7 +27,7 @@ from relab.pipeline import (
     run_pipeline,
     synth_step,
 )
-from relab.selection import ORIGIN_SEED, load_reliable
+from relab.selection import load_reliable
 
 
 class TestDefaultNr:
@@ -105,11 +105,10 @@ class TestRunPipeline:
         assert rset.target_per_class == 50
         assert rset.warnings == []
         seed_doc = json.loads((data / "seeds.json").read_text())
-        entry_classes = {e.index: e.label for e in rset.entries}
+        entry_classes = dict(zip(rset.index.tolist(), rset.label.tolist()))
         for record in seed_doc["seeds"]:
             assert entry_classes[record["index"]] == record["class"]
-        seed_entries = [e for e in rset.entries if e.origin == ORIGIN_SEED]
-        assert len(seed_entries) == 40
+        assert np.count_nonzero(rset.is_seed) == 40
 
         report = json.loads((out / REPORT_NAME).read_text())
         assert report["reliable"]["per_class_count"] == [50] * 10
@@ -203,7 +202,8 @@ class TestInMemoryChain:
             assert same_bits(seen["select_by_retrieval_score"][0], labels)
             assert same_bits(seen["select_by_retrieval_score"][1], retrieval)
         passed, written = seen["compare_selection"][0], load_reliable(out / RELIABLE_NAME)
-        assert passed.entries == written.entries
+        for name in ("index", "label", "is_seed", "score"):
+            assert same_bits(getattr(passed, name), getattr(written, name)), name
         assert same_bits(passed.per_class_count, written.per_class_count)
         assert (passed.target_per_class, passed.score_kind, passed.warnings) == (
             written.target_per_class, written.score_kind, written.warnings)

@@ -1,8 +1,9 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, on the names relab exports."""
 
 import re
 from pathlib import Path
 
+import relab
 from relab.synth import SynthConfig, generate, pick_seeds
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,3 +26,9 @@ def test_library_example_runs(capsys):
     for rset in (names["reliable"], names["by_score"]):
         assert rset.target_per_class == 50 and rset.per_class_count.shape == (C,)
     assert capsys.readouterr().out.startswith("NoiseReport(n_classes=10,")
+
+
+def test_every_export_resolves_once():
+    assert len(relab.__all__) == len(set(relab.__all__))
+    missing = [name for name in relab.__all__ if not hasattr(relab, name)]
+    assert missing == []

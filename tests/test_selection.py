@@ -19,11 +19,7 @@ from relab.errors import (
 from relab.features import l2_normalize, load_features
 from relab.pipeline import PROPAGATED_NAME, WHITENED_NAME, run_pipeline, synth_step
 from relab.selection import (
-    ORIGIN_BOOTSTRAPPED,
-    ORIGIN_SEED,
-    LossTrace,
     ProbeConfig,
-    ReliableEntry,
     ReliableSet,
     load_reliable,
     save_reliable,
@@ -49,7 +45,7 @@ def float64_probe(X, labels, cfg, n_classes):
     vb = np.zeros_like(b)
     rows = np.arange(n)
     first_window_epoch = cfg.epochs - cfg.average_window
-    window = np.empty((cfg.average_window, n))
+    total = np.zeros(n)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -76,14 +72,30 @@ def float64_probe(X, labels, cfg, n_classes):
         losses = Z[rows, labels]
         losses -= np.log(np.exp(Z).sum(axis=1))
         np.negative(losses, out=losses)
-        window[epoch - first_window_epoch] = losses
-    return LossTrace(window_losses=window, averaged_loss=window.mean(axis=0))
+        total += losses
+    return total / cfg.average_window
 
 
-def trace_from(losses):
-    """Single-epoch trace whose averaged loss is exactly `losses`."""
-    arr = np.asarray(losses, dtype=np.float64)
-    return LossTrace(window_losses=arr[None, :], averaged_loss=arr)
+def rset_of(index, label, is_seed, score, per_class_count, target_per_class, score_kind,
+            warnings=()):
+    """A ReliableSet whose columns hold the given values at their dtypes."""
+    return ReliableSet(
+        index=np.array(index, dtype=np.int64),
+        label=np.array(label, dtype=np.int64),
+        is_seed=np.array(is_seed, dtype=bool),
+        score=np.array(score, dtype=np.float64),
+        per_class_count=np.array(per_class_count),
+        target_per_class=target_per_class,
+        score_kind=score_kind,
+        warnings=list(warnings),
+    )
+
+
+def assert_same_columns(a, b):
+    """The four columns of two reliable sets hold the same dtypes and bytes."""
+    for column in ("index", "label", "is_seed", "score"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), column
 
 
 class TestProbeConfig:
@@ -114,43 +126,38 @@ class TestProbeConfig:
 class TestTrainProbe:
     def test_separable_clusters_reach_low_loss(self):
         X, y = two_cluster_features(40, 5, gap=8.0)
-        trace = train_probe(X, y, ProbeConfig(epochs=30, average_window=5), 2)
-        assert trace.window_losses.shape == (5, 80)
-        assert trace.window_losses[-1].mean() < 0.1
-        assert np.all(trace.window_losses >= 0.0)
-        assert np.all(np.isfinite(trace.averaged_loss))
+        losses = train_probe(X, y, ProbeConfig(epochs=30, average_window=5), 2)
+        assert losses.shape == (80,) and losses.dtype == np.float64
+        assert np.all(losses >= 0.0)
+        assert np.all(np.isfinite(losses))
+        last = train_probe(X, y, ProbeConfig(epochs=30, average_window=1), 2)
+        assert np.all(last >= 0.0) and last.mean() < 0.1
 
     def test_flipped_label_has_high_loss(self):
         X, y = two_cluster_features(40, 5, gap=8.0)
         noisy = y.copy()
         noisy[0] = 1  # cluster-0 sample mislabeled as class 1
-        trace = train_probe(X, noisy, ProbeConfig(epochs=30, average_window=10), 2)
-        clean_class1 = trace.averaged_loss[40:]
-        assert trace.averaged_loss[0] > np.median(clean_class1)
+        losses = train_probe(X, noisy, ProbeConfig(epochs=30, average_window=10), 2)
+        clean_class1 = losses[40:]
+        assert losses[0] > np.median(clean_class1)
 
-    def test_window_equal_to_epochs_averages_everything(self):
-        X, y = two_cluster_features(10, 3, gap=6.0)
-        trace = train_probe(X, y, ProbeConfig(epochs=8, average_window=8), 2)
-        np.testing.assert_allclose(trace.averaged_loss,
-                                   trace.window_losses.mean(axis=0),
-                                   atol=1e-12)
+    @pytest.mark.parametrize("epochs, window", [(8, 8), (30, 5), (12, 1)])
+    def test_average_is_zero_started_sum_of_window_epochs(self, epochs, window):
+        # Epochs before the window are trained but not evaluated, so the run
+        # that ends at epoch e with a window of 1 holds epoch e's losses.
+        X, y = two_cluster_features(30, 6, gap=2.0)
+        averaged = train_probe(X, y, ProbeConfig(epochs=epochs, average_window=window,
+                                                 rng_seed=3), 2)
+        total = np.zeros(60)
+        for e in range(epochs - window + 1, epochs + 1):
+            total += train_probe(X, y, ProbeConfig(epochs=e, average_window=1, rng_seed=3), 2)
+        assert averaged.dtype == np.float64
+        assert averaged.tobytes() == (total / window).tobytes()
 
     def test_deterministic(self):
         X, y = two_cluster_features(20, 4, gap=3.0)
         cfg = ProbeConfig(epochs=12, average_window=6, rng_seed=5)
-        t1 = train_probe(X, y, cfg, 2)
-        t2 = train_probe(X, y, cfg, 2)
-        assert t1.window_losses.tobytes() == t2.window_losses.tobytes()
-        assert t1.averaged_loss.tobytes() == t2.averaged_loss.tobytes()
-
-    def test_skipped_evaluation_does_not_perturb_training(self):
-        # Epochs before the window are trained but not evaluated; a window
-        # covering every epoch must see the same last five epochs bitwise.
-        X, y = two_cluster_features(30, 6, gap=2.0)
-        short = train_probe(X, y, ProbeConfig(epochs=30, average_window=5, rng_seed=3), 2)
-        full = train_probe(X, y, ProbeConfig(epochs=30, average_window=30, rng_seed=3), 2)
-        assert full.window_losses.shape == (30, 60)
-        assert short.window_losses.tobytes() == full.window_losses[-5:].tobytes()
+        assert train_probe(X, y, cfg, 2).tobytes() == train_probe(X, y, cfg, 2).tobytes()
 
     @pytest.mark.parametrize("window, check", [(1, "weights"), (5, "loss")])
     def test_divergence_raises(self, window, check):
@@ -210,18 +217,18 @@ class TestFloat32ProbeMatchesOracle:
     def test_averaged_loss_and_selection(self, probe_inputs):
         unit, labels, seeds, n_r = probe_inputs
         cfg = ProbeConfig()
-        trace = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
+        losses = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
         oracle = float64_probe(unit, labels, cfg, seeds.n_classes)
-        assert np.max(np.abs(trace.averaged_loss - oracle.averaged_loss)) <= 1e-4
-        picked = select_reliable(trace, labels, seeds, n_r)
+        assert np.max(np.abs(losses - oracle)) <= 1e-4
+        picked = select_reliable(losses, labels, seeds, n_r)
         expected = select_reliable(oracle, labels, seeds, n_r)
-        assert ([(e.index, e.label, e.origin) for e in picked.entries]
-                == [(e.index, e.label, e.origin) for e in expected.entries])
+        for column in ("index", "label", "is_seed"):
+            assert getattr(picked, column).tolist() == getattr(expected, column).tolist()
         assert picked.per_class_count.tolist() == expected.per_class_count.tolist()
 
 
 # Trains the probe on N = 12k, C = 100, D = 128 synth features with 30% of
-# the labels redrawn at random and writes averaged_loss's bytes to argv[1].
+# the labels redrawn at random and writes the averaged losses' bytes to argv[1].
 THREADED_PROBE = """
 import sys
 import numpy as np
@@ -231,9 +238,9 @@ from relab.synth import SynthConfig, generate
 X, truth = generate(SynthConfig(n_classes=100, per_class=120, dims=128, separation=6.0))
 rng = np.random.default_rng(0)
 noisy = np.where(rng.random(truth.size) < 0.3, rng.integers(0, 100, truth.size), truth)
-trace = train_probe(l2_normalize(X), noisy, ProbeConfig(), n_classes=100)
+losses = train_probe(l2_normalize(X), noisy, ProbeConfig(), n_classes=100)
 with open(sys.argv[1], "wb") as handle:
-    handle.write(trace.averaged_loss.tobytes())
+    handle.write(losses.tobytes())
 """
 
 
@@ -260,37 +267,38 @@ class TestSelectReliable:
         labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
         losses = [9.0, 0.5, 0.4, 0.1, 0.6, 9.0, 0.5, 0.05, 0.3, 0.6]
         seeds = seeds_of({0: 0, 5: 1}, 2)
-        rset = select_reliable(trace_from(losses), labels, seeds, n_r=4)
-        assert sorted(rset.indices().tolist()) == [0, 3, 5, 7]
+        rset = select_reliable(losses, labels, seeds, n_r=4)
         assert rset.target_per_class == 2
         assert rset.per_class_count.tolist() == [2, 2]
         assert rset.score_kind == "avg_loss"
         assert rset.warnings == []
-        origins = {e.index: e.origin for e in rset.entries}
-        assert origins[0] == ORIGIN_SEED
-        assert origins[5] == ORIGIN_SEED
-        assert origins[3] == ORIGIN_BOOTSTRAPPED
-        assert origins[7] == ORIGIN_BOOTSTRAPPED
-        assert {e.index: e.label for e in rset.entries} == {0: 0, 3: 0, 5: 1, 7: 1}
+        # Each class's seeds, then its chosen candidates.
+        assert rset.index.tolist() == [0, 3, 5, 7]
+        assert rset.label.tolist() == [0, 0, 1, 1]
+        assert rset.is_seed.tolist() == [True, False, True, False]
+        assert rset.score.tolist() == [9.0, 0.1, 9.0, 0.05]
+        for column, dtype in (("index", np.int64), ("label", np.int64), ("is_seed", bool),
+                              ("score", np.float64)):
+            assert getattr(rset, column).dtype == dtype
 
     def test_seed_only_when_target_equals_seed_count(self):
         labels = np.array([0, 0, 1, 1])
-        rset = select_reliable(trace_from([0.1] * 4), labels,
+        rset = select_reliable([0.1] * 4, labels,
                                seeds_of({0: 0, 2: 1}, 2), n_r=2)
-        assert sorted(rset.indices().tolist()) == [0, 2]
-        assert all(e.origin == ORIGIN_SEED for e in rset.entries)
+        assert sorted(rset.index.tolist()) == [0, 2]
+        assert rset.is_seed.all()
 
     def test_loss_tie_prefers_lower_index(self):
         labels = np.array([0, 0, 0, 1, 1, 1])
         losses = [9.0, 0.2, 0.2, 9.0, 0.7, 0.7]
-        rset = select_reliable(trace_from(losses), labels,
+        rset = select_reliable(losses, labels,
                                seeds_of({0: 0, 3: 1}, 2), n_r=4)
-        assert sorted(rset.indices().tolist()) == [0, 1, 3, 4]
+        assert sorted(rset.index.tolist()) == [0, 1, 3, 4]
 
     def test_shortfall_fills_what_exists_and_warns(self):
         labels = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 1])
         losses = np.linspace(0.1, 1.0, 10)
-        rset = select_reliable(trace_from(losses), labels,
+        rset = select_reliable(losses, labels,
                                seeds_of({0: 0, 2: 1}, 2), n_r=8)
         assert rset.per_class_count.tolist() == [2, 4]
         assert len(rset.warnings) == 1
@@ -299,18 +307,18 @@ class TestSelectReliable:
     def test_nr_not_divisible_rejected(self):
         labels = np.array([0, 1, 0, 1])
         with pytest.raises(ConfigError):
-            select_reliable(trace_from([0.1] * 4), labels, seeds_of({0: 0, 1: 1}, 2), n_r=5)
+            select_reliable([0.1] * 4, labels, seeds_of({0: 0, 1: 1}, 2), n_r=5)
 
     def test_target_below_seed_count_rejected(self):
         labels = np.array([0, 0, 0, 1])
         seeds = seeds_of({0: 0, 1: 0, 2: 0, 3: 1}, 2)
         with pytest.raises(ConfigError):
-            select_reliable(trace_from([0.1] * 4), labels, seeds, n_r=4)
+            select_reliable([0.1] * 4, labels, seeds, n_r=4)
 
     def test_seed_index_out_of_range_rejected(self):
         labels = np.array([0, 1])
         with pytest.raises(DataError):
-            select_reliable(trace_from([0.1, 0.1]), labels, seeds_of({5: 0, 1: 1}, 2), n_r=2)
+            select_reliable([0.1, 0.1], labels, seeds_of({5: 0, 1: 1}, 2), n_r=2)
 
     def test_growing_budget_keeps_earlier_picks(self, rng):
         n = 60
@@ -320,8 +328,7 @@ class TestSelectReliable:
         seeds = seeds_of({0: 0, 1: 1}, 2)
         previous = set()
         for n_r in (4, 8, 12, 16):
-            chosen = set(select_reliable(trace_from(losses), labels, seeds,
-                                         n_r).indices().tolist())
+            chosen = set(select_reliable(losses, labels, seeds, n_r).index.tolist())
             assert previous <= chosen
             previous = chosen
 
@@ -330,9 +337,9 @@ class TestSelectReliable:
         labels[:3] = [0, 1, 2]
         losses = rng.uniform(size=30)
         seeds = seeds_of({0: 0, 1: 1, 2: 2}, 3)
-        r1 = select_reliable(trace_from(losses), labels, seeds, n_r=15)
-        r2 = select_reliable(trace_from(losses), labels, seeds, n_r=15)
-        assert r1.entries == r2.entries
+        r1 = select_reliable(losses, labels, seeds, n_r=15)
+        r2 = select_reliable(losses, labels, seeds, n_r=15)
+        assert_same_columns(r1, r2)
 
 
 class TestSelectByRetrievalScore:
@@ -340,33 +347,25 @@ class TestSelectByRetrievalScore:
         rset = select_by_retrieval_score([0, 0, 0, 1, 1, 1],
                                          [0.9, 0.8, 0.95, 0.1, 0.7, 0.3],
                                          seeds_of({0: 0, 3: 1}, 2), n_r=4)
-        assert sorted(rset.indices().tolist()) == [0, 2, 3, 4]
+        assert sorted(rset.index.tolist()) == [0, 2, 3, 4]
         assert rset.score_kind == "retrieval_score"
 
     def test_score_tie_prefers_lower_index(self):
         rset = select_by_retrieval_score([0, 0, 0, 1, 1, 1],
                                          [1.0, 0.5, 0.5, 1.0, 0.2, 0.2],
                                          seeds_of({0: 0, 3: 1}, 2), n_r=4)
-        assert sorted(rset.indices().tolist()) == [0, 1, 3, 4]
+        assert sorted(rset.index.tolist()) == [0, 1, 3, 4]
 
 
 class TestReliableIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "reliable.jsonl"
-        rset = ReliableSet(
-            entries=[
-                ReliableEntry(0, 0, ORIGIN_SEED, 0.5),
-                ReliableEntry(3, 0, ORIGIN_BOOTSTRAPPED, 0.25),
-                ReliableEntry(5, 1, ORIGIN_SEED, 0.75),
-            ],
-            per_class_count=np.array([2, 1]),
-            target_per_class=2,
-            score_kind="avg_loss",
-            warnings=["class 1: only 0 candidate(s) for 1 slot(s)"],
-        )
+        rset = rset_of([0, 3, 5], [0, 0, 1], [True, False, True], [0.5, 0.25, 0.75],
+                       [2, 1], 2, "avg_loss",
+                       ["class 1: only 0 candidate(s) for 1 slot(s)"])
         save_reliable(path, rset)
         loaded = load_reliable(path)
-        assert loaded.entries == rset.entries
+        assert_same_columns(loaded, rset)
         assert loaded.per_class_count.tolist() == [2, 1]
         assert loaded.target_per_class == 2
         assert loaded.score_kind == "avg_loss"
@@ -374,16 +373,11 @@ class TestReliableIO:
 
     def test_round_trip_retrieval_kind(self, tmp_path):
         path = tmp_path / "reliable.jsonl"
-        rset = ReliableSet(
-            entries=[ReliableEntry(1, 0, ORIGIN_SEED, 0.9)],
-            per_class_count=np.array([1]),
-            target_per_class=1,
-            score_kind="retrieval_score",
-        )
+        rset = rset_of([1], [0], [True], [0.9], [1], 1, "retrieval_score")
         save_reliable(path, rset)
         loaded = load_reliable(path)
         assert loaded.score_kind == "retrieval_score"
-        assert loaded.entries == rset.entries
+        assert_same_columns(loaded, rset)
 
     def test_missing_summary_rejected(self, tmp_path):
         path = tmp_path / "reliable.jsonl"
