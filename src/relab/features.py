@@ -133,7 +133,11 @@ def pca_whiten(X, eps=1e-10):
     basis[:, flip] *= -1.0
 
     stats = WhitenStats(mean=mean, basis=basis, scale=1.0 / np.sqrt(lams), kept=int(lams.size))
-    return Xc @ basis * stats.scale, stats
+    # stats.apply(X), bit for bit, without the centred copy alive during the scaling.
+    out = Xc @ basis
+    del Xc
+    out *= stats.scale
+    return out, stats
 
 
 def l2_normalize(X):

@@ -28,7 +28,13 @@ A block in which no row has more than k survivors keeps them as they
 are, as the dense graph (k = n - 1) always does. Otherwise one stable
 sort per block orders each row's packed survivors, and each row keeps
 its first k: ties at the k-th value keep the lowest columns. The kept
-columns go straight into a CSR from per-row counts.
+columns (int32) go straight into a CSR from per-row counts.
+
+The blocked loop runs in its own function, so the unit rows, the GEMM
+buffer and each block's temporaries are freed before the graph is
+symmetrized; the per-block lists are freed once concatenated, and gamma
+is applied in place. While scipy takes max(A, A^T), what this module
+holds is the directed CSR, its transpose and the result.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ _BLOCK_ROWS = 256
 _GROUP_COLS = 8
 # The least bound: zeros and negative affinities never survive.
 _MIN_POSITIVE = np.nextafter(0.0, 1.0)
+# Index values converted to uint64 per file write, bounding that copy (8 MB).
+_WRITE_CHUNK = 1 << 20
 
 
 @dataclass
@@ -99,17 +107,36 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
         raise ConfigError(f"gamma must be positive, got {gamma}")
     if k is not None and not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
-    V = l2_normalize(X)
-    matrix = _topk_affinity(V, float(gamma), n - 1 if k is None else int(k))
+    matrix = _topk_affinity(X, float(gamma), n - 1 if k is None else int(k))
     return AffinityGraph(n=n, matrix=matrix)
 
 
-def _topk_affinity(V, gamma, k):
-    """Directed top-k cosine^gamma rows of V, max-symmetrized.
+def _topk_affinity(X, gamma, k):
+    """Directed top-k cosine^gamma rows of X, max-symmetrized.
 
     Equal to a stable argsort of each negated row truncated to k (ties at
     the k-th value keep the lowest column indices), then dropping zeros.
     """
+    n = len(X)
+    indptr, cols, vals = _directed_rows(X, k)
+    indices = np.concatenate(cols)
+    data = np.concatenate(vals)
+    del cols, vals
+    np.power(data, gamma, out=data)
+    if not data.all():  # every kept cosine is positive, so a zero is an underflow
+        raise ConfigError(f"gamma={gamma} underflows a positive affinity to 0; "
+                          "use a smaller gamma")
+    directed = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    del data, indices, indptr
+    # A canonical CSR: sorted and duplicate-free.
+    return directed.maximum(directed.T)
+
+
+def _directed_rows(X, k):
+    """The directed graph's CSR row offsets and per-block kept columns
+    (int32) and cosines, before gamma. The unit rows and the GEMM buffer
+    are freed when it returns."""
+    V = l2_normalize(X)
     n = V.shape[0]
     groups = n // _GROUP_COLS
     buffer = np.empty((min(_BLOCK_ROWS, n), n))
@@ -126,17 +153,11 @@ def _topk_affinity(V, gamma, k):
         else:
             flat = np.flatnonzero(block >= _MIN_POSITIVE)
         counts[start:stop], row_cols, row_vals = _select_survivors(block, flat, k)
-        cols.append(row_cols)
+        cols.append(row_cols.astype(np.int32))
         vals.append(row_vals)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    data = np.power(np.concatenate(vals), gamma)
-    if not data.all():  # every kept cosine is positive, so a zero is an underflow
-        raise ConfigError(f"gamma={gamma} underflows a positive affinity to 0; "
-                          "use a smaller gamma")
-    directed = sp.csr_matrix((data, np.concatenate(cols), indptr), shape=(n, n))
-    # A canonical CSR: sorted and duplicate-free.
-    return directed.maximum(directed.T)
+    return indptr, cols, vals
 
 
 def _group_survivors(rows, groups, k):
@@ -208,18 +229,29 @@ def normalize(graph):
 
 
 def save_graph(path, graph):
-    """Write an affinity graph in the RELG binary format (CSR, little-endian)."""
+    """Write an affinity graph in the RELG binary format (CSR, little-endian).
+
+    The file holds the canonical form: sorted, duplicates summed, explicit
+    zeros dropped. graph.matrix is left as it is; it is copied only when
+    it is not already canonical.
+    """
     A = graph.matrix.tocsr()
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    n = A.shape[0]
-    nnz = A.nnz
+    if not (A.has_canonical_format and A.data.all()):
+        A = A.copy()
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        A.sort_indices()
     with atomic_write(path) as handle:
-        handle.write(HEADER.pack(RELG_MAGIC, RELG_VERSION, n, nnz))
-        handle.write(A.indptr.astype("<u8").tobytes())
-        handle.write(A.indices.astype("<u8").tobytes())
-        handle.write(A.data.astype("<f8").tobytes())
+        handle.write(HEADER.pack(RELG_MAGIC, RELG_VERSION, A.shape[0], A.nnz))
+        _write_u8(handle, A.indptr)
+        _write_u8(handle, A.indices)
+        handle.write(np.ascontiguousarray(A.data, dtype="<f8"))
+
+
+def _write_u8(handle, values):
+    """Write nonnegative integers as little-endian uint64, _WRITE_CHUNK at a time."""
+    for start in range(0, len(values), _WRITE_CHUNK):
+        handle.write(values[start:start + _WRITE_CHUNK].astype("<u8"))
 
 
 def load_graph(path):

@@ -269,8 +269,10 @@ def save_reliable(path, rset):
 def load_reliable(path):
     """Read a reliable-set file back into a ReliableSet.
 
-    Raises FormatError for an origin other than seed or bootstrapped, and
-    for a sample index listed twice.
+    Raises FormatError for an origin other than seed or bootstrapped, for
+    a sample index listed twice, for an entry class outside the summary's
+    per_class_count, when per_class_count differs from the entries'
+    per-class tally, and when a count is above target_per_class.
     """
     records, summary = load_summarized_jsonl(path)
     score_kind, target, counts, warnings = typed(
@@ -290,12 +292,28 @@ def load_reliable(path):
         seen.add(index)
         rows.append((index, label, origin == ORIGIN_SEED, score))
     index, label, is_seed, score = zip(*rows) if rows else ((),) * 4
+    label = np.array(label, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    stray = label[(label < 0) | (label >= counts.size)]
+    if stray.size:
+        raise FormatError(f"{path}: entry class {int(stray[0])} out of range for "
+                          f"{counts.size} per_class_count value(s)")
+    differ = np.flatnonzero(np.bincount(label, minlength=counts.size) != counts)
+    if differ.size:
+        c = int(differ[0])
+        raise FormatError(f"{path}: per_class_count[{c}]={counts[c]}, but the entries "
+                          f"hold {np.count_nonzero(label == c)} of class {c}")
+    over = np.flatnonzero(counts > target)
+    if over.size:
+        c = int(over[0])
+        raise FormatError(f"{path}: per_class_count[{c}]={counts[c]} exceeds "
+                          f"target_per_class={target}")
     return ReliableSet(
         index=np.array(index, dtype=np.int64),
-        label=np.array(label, dtype=np.int64),
+        label=label,
         is_seed=np.array(is_seed, dtype=bool),
         score=np.array(score, dtype=np.float64),
-        per_class_count=np.asarray(counts, dtype=np.int64),
+        per_class_count=counts,
         target_per_class=target,
         score_kind=score_kind,
         warnings=warnings,

@@ -1017,6 +1017,36 @@ class TestStrictLoaders:
                                 "reliable", "index", index, ["evaluate"],
                                 f"reliable entry index {index} out of range for 120 truth labels")
 
+    # The chain's reliable set (4 classes, --nr 40) holds 3, 8, 10 and 10
+    # entries per class against a target of 10.
+    @pytest.mark.parametrize("edit, message", [
+        ({"per_class_count": [1, 2, 3], "target_per_class": 99},
+         "entry class 3 out of range for 3 per_class_count value(s)"),
+        ({"per_class_count": [3, 8, 10, 9]},
+         "per_class_count[3]=9, but the entries hold 10 of class 3"),
+        ({"per_class_count": [3, 8, 10, 10, 1]},
+         "per_class_count[4]=1, but the entries hold 0 of class 4"),
+        ({"target_per_class": 9}, "per_class_count[2]=10 exceeds target_per_class=9"),
+        ({"class": -1}, "entry class -1 out of range for 4 per_class_count value(s)"),
+    ])
+    def test_reliable_summary_disagreeing_with_entries_exits_3(
+            self, workspace, chained, tmp_path, capsys, edit, message):
+        records = [json.loads(line)
+                   for line in (chained / RELIABLE_NAME).read_text().splitlines()]
+        assert records[-1]["per_class_count"] == [3, 8, 10, 10]
+        assert records[-1]["target_per_class"] == 10
+        records[-1 if "class" not in edit else 0].update(edit)
+        bad = tmp_path / RELIABLE_NAME
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / REPORT_NAME
+        assert main(["evaluate", "--predicted", str(chained / PROPAGATED_NAME),
+                     "--truth", str(workspace / "truth.json"),
+                     "--reliable", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert message in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     def test_propagated_file_without_summary_exits_3(self, workspace, chained, tmp_path,
                                                      capsys, command):

@@ -164,6 +164,16 @@ class TestWhitening:
         W, stats = pca_whiten(X)
         np.testing.assert_allclose(stats.apply(X), W, atol=1e-10)
 
+    # Covariance path, Gram (dual) path, and float32 input as load paths give.
+    @pytest.mark.parametrize("shape, dtype", [((25, 4), np.float64), ((6, 10), np.float64),
+                                              ((300, 16), np.float32)],
+                             ids=["covariance", "gram", "float32"])
+    def test_output_is_apply_bit_for_bit(self, rng, shape, dtype):
+        X = rng.standard_normal(shape).astype(dtype)
+        W, stats = pca_whiten(X)
+        assert W.dtype == np.float64
+        assert W.tobytes() == stats.apply(X).tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(min_value=8, max_value=60),

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relab.graph as graph_module
 from relab.errors import ConfigError, DataError, DegenerateInputError, FormatError, IsolatedNodeError
-from relab.features import l2_normalize
+from relab.features import l2_normalize, pca_whiten
 from relab.graph import (
     _BLOCK_ROWS,
     _GROUP_COLS,
@@ -18,6 +20,7 @@ from relab.graph import (
     normalize,
     save_graph,
 )
+from relab.synth import SynthConfig, generate
 
 HEADER = struct.Struct("<4sIQQ")
 
@@ -441,6 +444,29 @@ class TestGraphIO:
         save_graph(second, load_graph(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_save_leaves_the_matrix_as_it_is(self, tmp_path):
+        # A 3-node graph with two explicit zeros, row 1's columns unsorted.
+        matrix = sp.csr_matrix((np.array([0.5, 0.0, 0.5, 0.0]), np.array([1, 2, 0, 1]),
+                                np.array([0, 1, 3, 4])), shape=(3, 3))
+        before = [a.copy() for a in (matrix.indptr, matrix.indices, matrix.data)]
+        path = tmp_path / "g.relg"
+        save_graph(path, AffinityGraph(n=3, matrix=matrix))
+        assert matrix.nnz == 4
+        for got, want in zip((matrix.indptr, matrix.indices, matrix.data), before):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        loaded = load_graph(path).matrix
+        assert loaded.nnz == 2 and loaded.has_sorted_indices
+        np.testing.assert_array_equal(loaded.toarray(), matrix.toarray())
+
+    def test_chunked_index_writes_match_one_write(self, tmp_path, monkeypatch, rng):
+        graph = build_affinity(rng.standard_normal((40, 3)))
+        whole = tmp_path / "whole.relg"
+        save_graph(whole, graph)
+        monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 7)
+        chunked = tmp_path / "chunked.relg"
+        save_graph(chunked, graph)
+        assert graph.matrix.nnz % 7 and chunked.read_bytes() == whole.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "g.relg"
         path.write_bytes(relg_bytes(2, [0, 1, 2], [1, 0], [1.0, 1.0], magic=b"XXXX"))
@@ -477,3 +503,23 @@ class TestGraphIO:
         path.write_bytes(relg_bytes(2, [0, 1, 2], [0, 1], [1.0, 1.0]))
         with pytest.raises(DataError):
             load_graph(path)
+
+
+class TestBuildMemory:
+    def test_dense_build_traced_peak(self):
+        # The dense-2k workload's shape: N = 2000, D = 128, every positive
+        # affinity kept (about 2.0M nnz). With the GEMM buffer and int64
+        # block lists alive during symmetrization the traced peak is
+        # 127 MiB; with nothing N-wide alive there it is about 91 MiB.
+        X, _ = generate(SynthConfig(n_classes=10, per_class=200, dims=128,
+                                    separation=6.0, rng_seed=0))
+        W, _ = pca_whiten(X)
+        del X
+        tracemalloc.start()
+        try:
+            graph = build_affinity(W, k=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.matrix.nnz > 1_900_000
+        assert peak < 110 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
