@@ -280,9 +280,11 @@ def nn_propagate(X, seeds):
 def save_propagated(path, labels, retrieval_score, seeds):
     """Write one propagation record per sample, in index order, then a
     trailing summary record holding the class count."""
+    labels = np.asarray(labels, dtype=np.int64).tolist()
+    scores = np.asarray(retrieval_score, dtype=np.float64).tolist()
     records = (
-        {"index": i, "label": int(labels[i]), "retrieval_score": float(retrieval_score[i])}
-        for i in range(len(labels))
+        {"index": i, "label": label, "retrieval_score": score}
+        for i, (label, score) in enumerate(zip(labels, scores))
     )
     summary = {"summary": True, "n_classes": seeds.n_classes}
     save_jsonl(path, itertools.chain(records, [summary]))

@@ -76,6 +76,49 @@ def float64_probe(X, labels, cfg, n_classes):
     return total / cfg.average_window
 
 
+def plain_float32_probe(X, labels, cfg, n_classes):
+    """train_probe's float32 arithmetic in its plainest numpy: a fresh @
+    per product, the row maxima along each row and the one-hot entries
+    by (row, label) pairs."""
+    X = np.asarray(X, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, d = X.shape
+    rng = np.random.default_rng(cfg.rng_seed)
+    W = np.zeros((d, n_classes), dtype=np.float32)
+    b = np.zeros(n_classes, dtype=np.float32)
+    vW = np.zeros_like(W)
+    vb = np.zeros_like(b)
+    rows = np.arange(n)
+    total = np.zeros(n)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            step = cfg.learning_rate / batch.size
+            Xb = X[batch]
+            Z = Xb @ W
+            Z += b
+            Z -= Z.max(axis=1, keepdims=True)
+            P = np.exp(Z, out=Z)
+            P *= step / P.sum(axis=1, keepdims=True)
+            P[np.arange(batch.size), labels[batch]] -= step
+            vW *= cfg.momentum
+            vW -= Xb.T @ P
+            vb *= cfg.momentum
+            vb -= P.sum(axis=0)
+            W += vW
+            b += vb
+        if epoch < cfg.epochs - cfg.average_window:
+            continue
+        Z = (W.T @ X.T).T
+        Z += b
+        Z -= Z.max(axis=1, keepdims=True)
+        losses = Z[rows, labels]
+        losses -= np.log(np.exp(Z, out=Z).sum(axis=1))
+        total += -losses
+    return total / cfg.average_window
+
+
 def rset_of(index, label, is_seed, score, per_class_count, target_per_class, score_kind,
             warnings=()):
     """A ReliableSet whose columns hold the given values at their dtypes."""
@@ -225,6 +268,18 @@ class TestFloat32ProbeMatchesOracle:
         for column in ("index", "label", "is_seed"):
             assert getattr(picked, column).tolist() == getattr(expected, column).tolist()
         assert picked.per_class_count.tolist() == expected.per_class_count.tolist()
+
+
+class TestProbeMatchesPlainFloat32:
+    @pytest.mark.parametrize("batch_size", [128, 5000])
+    def test_losses_bitwise_equal(self, probe_inputs, batch_size):
+        # Neither fixture's N is a multiple of 128, so the last batch is
+        # short; 5000 puts every sample in one batch.
+        unit, labels, seeds, _ = probe_inputs
+        cfg = ProbeConfig(epochs=20, average_window=5, batch_size=batch_size)
+        losses = train_probe(unit, labels, cfg, n_classes=seeds.n_classes)
+        plain = plain_float32_probe(unit, labels, cfg, seeds.n_classes)
+        assert losses.tobytes() == plain.tobytes()
 
 
 # Trains the probe on N = 12k, C = 100, D = 128 synth features with 30% of
