@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError
-from .fileio import HEADER, atomic_write, read_binary
+from .fileio import HEADER, atomic_write, open_binary, read_array
 
 RELF_MAGIC = b"RELF"
 RELF_VERSION = 1
@@ -44,17 +44,15 @@ def load_features(path):
     whose length disagrees with the header, and DataError for non-finite
     entries.
     """
-    raw, n, d = read_binary(path, RELF_MAGIC, RELF_VERSION)
-    if n < 1 or d < 1:
-        raise FormatError(f"{path}: header declares empty matrix ({n} x {d})")
-    payload = raw[HEADER.size:]
-    expected = n * d * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(payload) // 4} float32 values, "
-            f"header declares {n * d}"
-        )
-    X = np.frombuffer(payload, dtype="<f4").reshape(n, d)
+    with open_binary(path, RELF_MAGIC, RELF_VERSION) as (handle, n, d, size):
+        if n < 1 or d < 1:
+            raise FormatError(f"{path}: header declares empty matrix ({n} x {d})")
+        if size != n * d * 4:
+            raise FormatError(
+                f"{path}: payload holds {size // 4} float32 values, "
+                f"header declares {n * d}"
+            )
+        X = read_array(handle, path, "<f4", n * d).reshape(n, d)
     if not np.all(np.isfinite(X)):
         bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         raise DataError(f"{path}: non-finite entry in row {bad}")

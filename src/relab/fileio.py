@@ -57,22 +57,33 @@ def _open_for_read(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def read_binary(path, magic, version):
-    """Read a whole binary file and check its header's magic and version.
+@contextmanager
+def open_binary(path, magic, version):
+    """Open a binary file and check its header's magic and version.
 
-    Returns (raw, count_a, count_b): the file's bytes, whose payload starts
-    at raw[HEADER.size:], and the header's two counts.
+    Yields (handle, count_a, count_b, payload_size): the handle stands at
+    the payload, which is payload_size bytes long, after the header's two
+    counts. read_array reads the payload in pieces, so the file's bytes
+    are never held whole.
     """
     with _open_for_read(path) as handle:
-        raw = handle.read()
-    if len(raw) < HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    found, found_version, count_a, count_b = HEADER.unpack_from(raw)
-    if found != magic:
-        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
-    if found_version != version:
-        raise FormatError(f"{path}: unsupported version {found_version}")
-    return raw, count_a, count_b
+        header = handle.read(HEADER.size)
+        if len(header) < HEADER.size:
+            raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+        found, found_version, count_a, count_b = HEADER.unpack(header)
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        if found_version != version:
+            raise FormatError(f"{path}: unsupported version {found_version}")
+        yield handle, count_a, count_b, os.fstat(handle.fileno()).st_size - HEADER.size
+
+
+def read_array(handle, path, dtype, count):
+    """The next count values of dtype from handle, in a new array."""
+    out = np.empty(count, dtype=dtype)
+    if handle.readinto(out) != out.nbytes:
+        raise FormatError(f"{path}: payload ends early")
+    return out
 
 
 def load_json(path):

@@ -8,20 +8,22 @@ positive affinity, which is the dense graph.
 
 There is one construction for both. It never holds the N x N
 similarities: it computes them in blocks of _BLOCK_ROWS rows with one
-float64 GEMM each, written into a buffer allocated once, and selects
-each block's neighbours before the next GEMM.
+float32 GEMM each, from float32 unit rows, written into a buffer
+allocated once, and selects each block's neighbours before the next
+GEMM. The kept cosines are widened to float64 before gamma is applied,
+so the affinities are float64 powers of float32 similarities.
 
 Each row keeps only its survivors: the affinities at or above a positive
 bound, packed into a small padded matrix in column order. When k is below
 g = n // _GROUP_COLS, column j + i * g (i < _GROUP_COLS) is in group j,
 and the bound is the k-th largest of the row's g group maxima, floored at
-the smallest positive float. k distinct columns reach it, so it never
+the smallest positive float32. k distinct columns reach it, so it never
 exceeds the row's k-th largest affinity: every top-k column, and every
 column tied at the k-th value, survives. Only the columns of the groups
 whose maximum reaches the bound are read again, with the last
 n % _GROUP_COLS columns, which are in no group: about 51 survivors of
 10k columns per row on the benchmark data at k = 50. Otherwise, as in the
-dense graph, the bound is the smallest positive float. Zeros never
+dense graph, the bound is the smallest positive float32. Zeros never
 survive, so a row with fewer than k positive affinities keeps them all.
 
 A block in which no row has more than k survivors keeps them as they
@@ -46,7 +48,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, FormatError, IsolatedNodeError
 from .features import l2_normalize
-from .fileio import HEADER, atomic_write, read_binary
+from .fileio import HEADER, atomic_write, open_binary, read_array
 
 DEFAULT_GAMMA = 3.0
 # Up to this many nodes the CLI and the pipeline steps keep every positive
@@ -64,8 +66,9 @@ _BLOCK_ROWS = 256
 # Columns per group; a row's group maxima bound its k-th largest affinity
 # from below. The kept set does not depend on it.
 _GROUP_COLS = 8
-# The least bound: zeros and negative affinities never survive.
-_MIN_POSITIVE = np.nextafter(0.0, 1.0)
+# The least bound: zeros and negative affinities never survive. It is a
+# float32, since a float64 5e-324 rounds to 0 in the float32 bounds.
+_MIN_POSITIVE = np.nextafter(np.float32(0.0), np.float32(1.0))
 # Index values converted to uint64 per file write, bounding that copy (8 MB).
 _WRITE_CHUNK = 1 << 20
 
@@ -134,12 +137,12 @@ def _topk_affinity(X, gamma, k):
 
 def _directed_rows(X, k):
     """The directed graph's CSR row offsets and per-block kept columns
-    (int32) and cosines, before gamma. The unit rows and the GEMM buffer
-    are freed when it returns."""
-    V = l2_normalize(X)
+    (int32) and cosines, widened to float64 but before gamma. The unit rows
+    and the GEMM buffer are freed when it returns."""
+    V = l2_normalize(X).astype(np.float32)
     n = V.shape[0]
     groups = n // _GROUP_COLS
-    buffer = np.empty((min(_BLOCK_ROWS, n), n))
+    buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float32)
     counts = np.empty(n, dtype=np.int64)
     cols = []
     vals = []
@@ -154,7 +157,7 @@ def _directed_rows(X, k):
             flat = np.flatnonzero(block >= _MIN_POSITIVE)
         counts[start:stop], row_cols, row_vals = _select_survivors(block, flat, k)
         cols.append(row_cols.astype(np.int32))
-        vals.append(row_vals)
+        vals.append(row_vals.astype(np.float64))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, cols, vals
@@ -200,7 +203,7 @@ def _select_survivors(rows, flat, k):
     # lowest columns among ties; the zero padding sorts after every survivor
     # and is never kept.
     packed = np.arange(row_counts.max()) < row_counts[:, None]
-    neg = np.zeros(packed.shape)
+    neg = np.zeros(packed.shape, dtype=rows.dtype)
     neg[packed] = -x
     keep = np.zeros_like(packed)
     np.put_along_axis(keep, np.argsort(neg, axis=1, kind="stable")[:, :k], True, axis=1)
@@ -255,36 +258,41 @@ def _write_u8(handle, values):
 
 
 def load_graph(path):
-    """Read a RELG file back into an AffinityGraph, validating its invariants."""
-    raw, n, nnz = read_binary(path, RELG_MAGIC, RELG_VERSION)
-    if n < 1:
-        raise FormatError(f"{path}: header declares empty graph")
-    expected = (n + 1) * 8 + nnz * 8 + nnz * 8
-    body = raw[HEADER.size:]
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: body is {len(body)} bytes, header implies {expected}"
-        )
-    offset = 0
-    indptr = np.frombuffer(body, dtype="<u8", count=n + 1, offset=offset).astype(np.int64)
-    offset += (n + 1) * 8
-    indices = np.frombuffer(body, dtype="<u8", count=nnz, offset=offset).astype(np.int64)
-    offset += nnz * 8
-    values = np.frombuffer(body, dtype="<f8", count=nnz, offset=offset).astype(np.float64)
+    """Read a RELG file back into an AffinityGraph, validating its invariants.
+
+    Each array is read into a buffer of its own, so the file's bytes are
+    never held whole; besides the result, it holds the int64 columns while
+    they are narrowed, then the transpose the symmetry check compares.
+    """
+    with open_binary(path, RELG_MAGIC, RELG_VERSION) as (handle, n, nnz, size):
+        if n < 1:
+            raise FormatError(f"{path}: header declares empty graph")
+        expected = (n + 1) * 8 + nnz * 8 + nnz * 8
+        if size != expected:
+            raise FormatError(f"{path}: body is {size} bytes, header implies {expected}")
+        # The uint64 offsets and columns read as int64: a value of 2**63 or
+        # more reads as negative, and the checks below refuse it.
+        indptr = read_array(handle, path, "<i8", n + 1)
+        indices = read_array(handle, path, "<i8", nnz)
+        values = read_array(handle, path, "<f8", nnz)
 
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path}: corrupt CSR row offsets")
     if nnz and (indices.min() < 0 or indices.max() >= n):
         raise FormatError(f"{path}: column index out of range")
     A = sp.csr_matrix((values, indices, indptr), shape=(n, n))
+    del values, indices, indptr
     if not np.all(np.isfinite(A.data)):
         raise DataError(f"{path}: non-finite affinity value")
     if np.any(A.data < 0):
         raise DataError(f"{path}: negative affinity value")
     if np.any(A.diagonal() != 0):
         raise DataError(f"{path}: affinity diagonal must be zero")
-    if (A != A.T).nnz != 0:
-        raise DataError(f"{path}: affinity matrix is not symmetric")
     A.sum_duplicates()
     A.eliminate_zeros()
+    # Both canonical, so A is symmetric exactly when the arrays are equal.
+    T = A.T.tocsr()
+    if not all(np.array_equal(getattr(A, name), getattr(T, name))
+               for name in ("indptr", "indices", "data")):
+        raise DataError(f"{path}: affinity matrix is not symmetric")
     return AffinityGraph(n=int(n), matrix=A)

@@ -13,6 +13,7 @@ from relab.features import l2_normalize, pca_whiten
 from relab.graph import (
     _BLOCK_ROWS,
     _GROUP_COLS,
+    _MIN_POSITIVE,
     AffinityGraph,
     auto_k,
     build_affinity,
@@ -56,8 +57,8 @@ class TestBuildAffinity:
     def test_cosine_cubed_at_45_degrees(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         A = dense(build_affinity(X, gamma=3.0))
-        # cos(45 deg)^3 = (sqrt(2)/2)^3 = 2^(-3/2)
-        expected = 2.0 ** -1.5
+        # cos(45 deg) = sqrt(2)/2 as the float32 similarity, cubed in float64
+        expected = float(np.float32(np.sqrt(0.5))) ** 3
         np.testing.assert_allclose(A[0, 1], expected, rtol=1e-12)
         np.testing.assert_allclose(A[1, 0], expected, rtol=1e-12)
 
@@ -86,8 +87,7 @@ class TestBuildAffinity:
         np.testing.assert_allclose(A_perm, A[np.ix_(perm, perm)], atol=1e-12)
 
     def test_topk_with_full_k_matches_dense(self, rng):
-        # The larger shapes span several 256-row GEMM blocks, whose last
-        # bits differ from those of the full-matrix product.
+        # The larger shapes span several 256-row GEMM blocks.
         for shape in ((20, 4), (257, 512), (999, 33)):
             X = rng.standard_normal(shape)
             want = dense_reference(X, 3.0)
@@ -141,33 +141,41 @@ class TestBuildAffinity:
                               dense(build_affinity(scale * X)))
 
 
+def similarity_blocks(X):
+    """The similarities the builder selects from, as (rows, sims) per block:
+    the float32 L2-normalized rows of X, one GEMM per _BLOCK_ROWS rows (the
+    last bits depend on the block shape), with a zero diagonal."""
+    V = l2_normalize(X).astype(np.float32)
+    for start in range(0, len(V), _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, len(V)))
+        sims = V[start:start + _BLOCK_ROWS] @ V.T
+        sims[rows - start, rows] = 0.0
+        yield rows, sims
+
+
 def dense_reference(X, gamma):
     """The dense formula build_affinity(X) implements: clip(V V^T, 0)^gamma
-    with a zero diagonal, V the L2-normalized rows of X."""
-    V = l2_normalize(X)
-    sims = np.clip(V @ V.T, 0.0, None)
-    np.fill_diagonal(sims, 0.0)
-    return np.power(sims, gamma)
+    with a zero diagonal, V the L2-normalized rows of X, max-symmetrized.
+    The similarities are float32, so (i, j) and (j, i) may differ in the
+    last bit; the power is taken in float64."""
+    sims = np.vstack([sims for _, sims in similarity_blocks(X)]).astype(np.float64)
+    np.clip(sims, 0.0, None, out=sims)
+    return np.power(np.maximum(sims, sims.T), gamma)
 
 
-def oracle_topk(X, gamma, k, block_rows=256):
+def oracle_topk(X, gamma, k):
     """The per-row top-k builder the blocked one replaced: a stable argsort of
     every negated row, so ties at the k-th value keep the lowest columns."""
-    V = l2_normalize(X)
-    n = V.shape[0]
+    n = len(X)
     rows, cols, vals = [], [], []
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        sims = V[start:stop] @ V.T
+    for block_rows, sims in similarity_blocks(X):
         np.clip(sims, 0.0, None, out=sims)
-        sims[np.arange(start, stop) - start, np.arange(start, stop)] = 0.0
-        for i in range(stop - start):
-            row = sims[i]
+        for i, row in zip(block_rows, sims):
             top = np.argsort(-row, kind="stable")[:k]
             keep = top[row[top] > 0.0]
-            rows.append(np.full(keep.size, start + i, dtype=np.int64))
+            rows.append(np.full(keep.size, i, dtype=np.int64))
             cols.append(keep.astype(np.int64))
-            vals.append(np.power(row[keep], gamma))
+            vals.append(np.power(row[keep].astype(np.float64), gamma))
     directed = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     matrix = directed.maximum(directed.T).tocsr()
@@ -183,15 +191,11 @@ def assert_same_csr(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def tied_rows(X, k, chunk=500):
+def tied_rows(X, k):
     """Rows whose k-th and (k+1)-th strongest affinities are equal and positive."""
-    V = l2_normalize(X)
     tied = 0
-    for start in range(0, len(V), chunk):
-        sims = np.clip(V[start:start + chunk] @ V.T, 0.0, None)
-        rows = np.arange(start, min(start + chunk, len(V)))
-        sims[rows - start, rows] = 0.0
-        ranked = -np.sort(-sims, axis=1)
+    for _, sims in similarity_blocks(X):
+        ranked = -np.sort(-np.clip(sims, 0.0, None), axis=1)
         tied += int(np.sum((ranked[:, k - 1] == ranked[:, k]) & (ranked[:, k - 1] > 0.0)))
     return tied
 
@@ -239,17 +243,12 @@ GROUP_INPUTS = {
 }
 
 
-def group_maxima(X, chunk=500):
+def group_maxima(X):
     """Each row's group maxima: column j + i * g, i < _GROUP_COLS, is in
     group j of g = n // _GROUP_COLS."""
-    V = l2_normalize(X)
-    n = len(V)
-    groups = n // _GROUP_COLS
+    groups = len(X) // _GROUP_COLS
     maxima = []
-    for start in range(0, n, chunk):
-        sims = V[start:start + chunk] @ V.T
-        rows = np.arange(start, min(start + chunk, n))
-        sims[rows - start, rows] = 0.0
+    for rows, sims in similarity_blocks(X):
         maxima.append(sims[:, :groups * _GROUP_COLS]
                       .reshape(len(rows), _GROUP_COLS, groups).max(axis=1))
     return np.concatenate(maxima)
@@ -265,29 +264,22 @@ def kth_largest(values, k):
     return -np.partition(-values, k - 1, axis=1)[:, k - 1]
 
 
-def survivor_counts(X, bounds, chunk=500):
+def survivor_counts(X, bounds):
     """How many affinities of each row are at or above its bound."""
-    V = l2_normalize(X)
     counts = []
-    for start in range(0, len(V), chunk):
-        sims = V[start:start + chunk] @ V.T
-        rows = np.arange(start, min(start + chunk, len(V)))
-        sims[rows - start, rows] = 0.0
+    for rows, sims in similarity_blocks(X):
         counts.append((sims >= bounds[rows, None]).sum(axis=1))
     return np.concatenate(counts)
 
 
-def tail_columns(X, k, chunk=500):
+def tail_columns(X, k):
     """How many rows keep a column past the last group, and how many cut one
     that ties at their k-th value."""
-    V = l2_normalize(X)
-    n = len(V)
+    n = len(X)
     tail = np.arange(n // _GROUP_COLS * _GROUP_COLS, n)
     kept = cut = 0
-    for start in range(0, n, chunk):
-        sims = np.clip(V[start:start + chunk] @ V.T, 0.0, None)
-        rows = np.arange(start, min(start + chunk, n))
-        sims[rows - start, rows] = 0.0
+    for _, sims in similarity_blocks(X):
+        np.clip(sims, 0.0, None, out=sims)
         order = np.argsort(-sims, axis=1, kind="stable")
         ranked = np.take_along_axis(sims, order, axis=1)
         in_tail = np.isin(order, tail)
@@ -350,16 +342,23 @@ class TestTopkMatchesOracle:
         X = GROUP_INPUTS["one_hot_100"]()
         assert kth_largest(group_maxima(X), 5).min() > 0.0
         # At k = 50 most blocks mix rows with a positive bound and rows
-        # whose zero bound is floored to the least positive float, and some
-        # mix rows with fewer than k survivors and rows with more, so the
-        # stable sort sees padding it must drop.
+        # whose zero bound is floored to the least positive float32, and
+        # some mix rows with fewer than k survivors and rows with more, so
+        # the stable sort sees padding it must drop.
         bounds = kth_largest(group_maxima(X), 50)
-        survivors = survivor_counts(X, np.maximum(bounds, np.nextafter(0.0, 1.0)))
+        survivors = survivor_counts(X, np.maximum(bounds, _MIN_POSITIVE))
         starts = range(0, len(X), _BLOCK_ROWS)
         positive = [bounds[lo:lo + _BLOCK_ROWS] > 0.0 for lo in starts]
         assert sum(p.any() and not p.all() for p in positive) > len(positive) // 2
         assert any((s < 50).any() and (s > 50).any()
                    for s in (survivors[lo:lo + _BLOCK_ROWS] for lo in starts))
+
+    def test_floored_bounds_keep_no_zero(self):
+        # The bounds are float32, where a float64 least positive value
+        # rounds to 0 and would let one_hot_100's zero affinities survive.
+        assert _MIN_POSITIVE.dtype == np.float32 and _MIN_POSITIVE > 0
+        _, _, vals = graph_module._directed_rows(GROUP_INPUTS["one_hot_100"](), 50)
+        assert np.concatenate(vals).min() > 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -505,21 +504,45 @@ class TestGraphIO:
             load_graph(path)
 
 
+def dense_2k_features():
+    """The dense-2k workload's shape, whitened: N = 2000, D = 128; its dense
+    graph has about 2.0M nnz and a 31.8 MB RELG file."""
+    X, _ = generate(SynthConfig(n_classes=10, per_class=200, dims=128,
+                                separation=6.0, rng_seed=0))
+    return pca_whiten(X)[0]
+
+
+def traced_peak(function):
+    """(function(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = function()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestBuildMemory:
     def test_dense_build_traced_peak(self):
-        # The dense-2k workload's shape: N = 2000, D = 128, every positive
-        # affinity kept (about 2.0M nnz). With the GEMM buffer and int64
-        # block lists alive during symmetrization the traced peak is
-        # 127 MiB; with nothing N-wide alive there it is about 91 MiB.
-        X, _ = generate(SynthConfig(n_classes=10, per_class=200, dims=128,
-                                    separation=6.0, rng_seed=0))
-        W, _ = pca_whiten(X)
-        del X
-        tracemalloc.start()
-        try:
-            graph = build_affinity(W, k=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # With the GEMM buffer and int64 block lists alive during
+        # symmetrization the traced peak is 127 MiB; with nothing N-wide
+        # alive there it is about 91 MiB, with the float32 GEMM buffer as
+        # with the float64 one, since the peak falls in symmetrization.
+        W = dense_2k_features()
+        graph, peak = traced_peak(lambda: build_affinity(W, k=None))
         assert graph.matrix.nnz > 1_900_000
         assert peak < 110 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestLoadMemory:
+    def test_dense_load_traced_peak(self, tmp_path):
+        # Holding the file's bytes, an astype copy of each array and the
+        # boolean A != A.T traces 140 MiB for a 22.7 MiB CSR; reading each
+        # array into its own buffer and comparing with the canonical
+        # transpose's arrays traces about 47 MiB.
+        path = tmp_path / "g.relg"
+        save_graph(path, build_affinity(dense_2k_features(), k=None))
+        graph, peak = traced_peak(lambda: load_graph(path))
+        assert graph.matrix.nnz > 1_900_000
+        assert peak < 60 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
