@@ -35,8 +35,12 @@ columns (int32) go straight into a CSR from per-row counts.
 The blocked loop runs in its own function, so the unit rows, the GEMM
 buffer and each block's temporaries are freed before the graph is
 symmetrized; the per-block lists are freed once concatenated, and gamma
-is applied in place. While scipy takes max(A, A^T), what this module
-holds is the directed CSR, its transpose and the result.
+is applied in place. Symmetrizing holds the directed CSR and its CSR
+transpose. Where both have the same pattern, as every dense graph does,
+the max is taken in place into the directed graph's values; otherwise
+scipy's max(A, A^T) builds the union, whose arrays, sized for
+nnz(A) + nnz(A^T), are then copied down to its nnz. normalize builds S
+on A's own index arrays and leaves A as it is.
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ _GROUP_COLS = 8
 _MIN_POSITIVE = np.nextafter(np.float32(0.0), np.float32(1.0))
 # Index values converted to uint64 per file write, bounding that copy (8 MB).
 _WRITE_CHUNK = 1 << 20
+# Entries per dinv gather in normalize, bounding that temporary (512 KB).
+_GATHER_CHUNK = 1 << 16
 
 
 @dataclass
@@ -131,8 +137,31 @@ def _topk_affinity(X, gamma, k):
                           "use a smaller gamma")
     directed = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     del data, indices, indptr
-    # A canonical CSR: sorted and duplicate-free.
-    return directed.maximum(directed.T)
+    return _symmetrize(directed)
+
+
+def _symmetrize(directed):
+    """max(A, A^T) of a canonical CSR A with positive values, as scipy's
+    A.maximum(A.T) gives it: canonical, with the same bits.
+
+    When A^T has A's pattern the max is taken in place into A's values
+    and A is returned; otherwise scipy builds the union. The in-place
+    result keeps A's index dtype, where scipy's turns int64 once
+    2 * nnz(A) passes the int32 range.
+    """
+    T = directed.T.tocsr()
+    if (np.array_equal(T.indptr, directed.indptr)
+            and np.array_equal(T.indices, directed.indices)):
+        np.maximum(directed.data, T.data, out=directed.data)
+        return directed
+    union = directed.maximum(T)
+    del T
+    # scipy sizes the union's arrays for nnz(A) + nnz(A^T) entries and keeps
+    # them when the union fills more than half; normalize's S shares the
+    # indices, so both arrays are copied down to the union's nnz.
+    union.data = union.data.copy()
+    union.indices = union.indices.copy()
+    return union
 
 
 def _directed_rows(X, k):
@@ -214,8 +243,9 @@ def _select_survivors(rows, flat, k):
 def normalize(graph):
     """Symmetrically normalize an affinity graph: S = D^{-1/2} A D^{-1/2}.
 
-    Raises IsolatedNodeError listing every node whose degree (row sum)
-    is zero.
+    S shares A's index arrays (indices and indptr) and holds one new
+    float64 array of values; A is left as it is. Raises IsolatedNodeError
+    listing every node whose degree (row sum) is zero.
     """
     A = graph.matrix
     degrees = np.asarray(A.sum(axis=1)).ravel()
@@ -226,8 +256,9 @@ def normalize(graph):
     # Entry (i, j) is (dinv_i * A_ij) * dinv_j, the bits of D^{-1/2} @ A @ D^{-1/2}.
     data = np.repeat(dinv, np.diff(A.indptr))
     data *= A.data
-    data *= dinv[A.indices]
-    S = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    for start in range(0, len(data), _GATHER_CHUNK):
+        data[start:start + _GATHER_CHUNK] *= dinv[A.indices[start:start + _GATHER_CHUNK]]
+    S = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
     return NormalizedGraph(n=graph.n, s=S, degrees=degrees)
 
 

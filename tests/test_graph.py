@@ -374,6 +374,45 @@ class TestTopkMatchesOracle:
                         oracle_topk(X, gamma, k))
 
 
+@st.composite
+def canonical_csr(draw):
+    """A canonical CSR with positive values: a symmetric pattern (values
+    unequal across the diagonal) or an asymmetric one, with empty rows and
+    nnz = 0 among the draws, and tied values."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pattern = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    if draw(st.booleans()):
+        pattern |= pattern.T
+    values = rng.integers(1, 5, (n, n)) / 4.0 if draw(st.booleans()) else rng.random((n, n)) + 0.5
+    return sp.csr_matrix(np.where(pattern, values, 0.0))
+
+
+class TestSymmetrize:
+    def test_symmetric_pattern_takes_the_max_in_place(self):
+        A = sp.csr_matrix(np.array([[0.0, 0.5, 0.25], [0.75, 0.0, 0.0], [0.125, 0.0, 0.0]]))
+        want = A.maximum(A.T)
+        data = A.data
+        got = graph_module._symmetrize(A)
+        assert got is A and got.data is data
+        assert_same_csr(got, want)
+
+    def test_asymmetric_pattern_takes_the_union(self):
+        A = sp.csr_matrix(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.75, 0.0]]))
+        data = A.data.copy()
+        got = graph_module._symmetrize(A)
+        assert got is not A and np.array_equal(A.data, data)
+        assert_same_csr(got, A.maximum(A.T))
+        # scipy allocates nnz(A) + nnz(A^T) entries; no larger buffer is kept.
+        assert got.data.base is None and got.indices.base is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(A=canonical_csr())
+    def test_matches_scipy_maximum(self, A):
+        want = A.maximum(A.T)
+        assert_same_csr(graph_module._symmetrize(A.copy()), want)
+
+
 class TestNormalize:
     @pytest.mark.parametrize("name", sorted(TOPK_INPUTS))
     def test_equals_two_diagonal_products(self, name):
@@ -382,6 +421,25 @@ class TestNormalize:
             A = graph.matrix
             scaler = sp.diags(1.0 / np.sqrt(np.asarray(A.sum(axis=1)).ravel()))
             assert_same_csr(normalize(graph).s, (scaler @ A @ scaler).tocsr())
+
+    @pytest.mark.parametrize("k", [5, None])
+    def test_shares_the_index_arrays_and_leaves_a(self, rng, k):
+        A = build_affinity(rng.standard_normal((60, 4)), k=k).matrix
+        before = [a.copy() for a in (A.indptr, A.indices, A.data)]
+        S = normalize(AffinityGraph(n=60, matrix=A)).s
+        assert np.shares_memory(S.indices, A.indices)
+        assert np.shares_memory(S.indptr, A.indptr)
+        assert not np.shares_memory(S.data, A.data)
+        for got, want in zip((A.indptr, A.indices, A.data), before):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_chunked_gather_matches_one_gather(self, monkeypatch, rng):
+        graph = build_affinity(rng.standard_normal((40, 3)))
+        whole = normalize(graph).s
+        monkeypatch.setattr(graph_module, "_GATHER_CHUNK", 7)
+        chunked = normalize(graph).s
+        assert graph.matrix.nnz % 7
+        assert_same_csr(chunked, whole)
 
     def test_unit_degrees(self):
         g = normalize(csr_graph([[0.0, 1.0], [1.0, 0.0]]))
@@ -533,6 +591,27 @@ class TestBuildMemory:
         graph, peak = traced_peak(lambda: build_affinity(W, k=None))
         assert graph.matrix.nnz > 1_900_000
         assert peak < 110 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_dense_build_symmetrizes_in_place(self):
+        # scipy's A.maximum(A.T) holds A, its transpose and a result sized
+        # nnz(A) + nnz(A^T): 91 MiB. Taking the max in place into A's values
+        # holds A and its transpose: about 47 MiB.
+        W = dense_2k_features()
+        graph, peak = traced_peak(lambda: build_affinity(W, k=None))
+        assert graph.matrix.nnz > 1_900_000
+        assert peak < 60 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestNormalizeMemory:
+    def test_dense_normalize_traced_peak(self):
+        # Copying A's index arrays and gathering dinv over all of A's
+        # columns at once traces 30.4 MiB beyond A's 22.7; sharing the index
+        # arrays and gathering in _GATHER_CHUNK pieces traces about 16 MiB,
+        # one float64 array of values.
+        graph = build_affinity(dense_2k_features(), k=None)
+        normalized, peak = traced_peak(lambda: normalize(graph))
+        assert normalized.s.nnz == graph.matrix.nnz > 1_900_000
+        assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestLoadMemory:
