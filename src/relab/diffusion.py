@@ -29,45 +29,47 @@ _BLOCK_ROWS = 16
 
 @dataclass
 class SeedLabels:
-    """The initial supervision: sample index -> class index, plus C."""
+    """The initial supervision: int64 columns index and label, plus C.
 
-    assignments: dict[int, int]
+    The constructor sorts the pairs so that index ascends strictly, and
+    raises ConfigError for n_classes < 1, a negative or repeated index,
+    or a label outside [0, n_classes), naming the smallest such index.
+    """
+
+    index: np.ndarray  # int64
+    label: np.ndarray  # int64
     n_classes: int
 
     def __post_init__(self):
         if self.n_classes < 1:
             raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
-        for idx, cls in self.assignments.items():
-            if idx < 0:
-                raise ConfigError(f"seed index {idx} is negative")
-            if not 0 <= cls < self.n_classes:
-                raise ConfigError(
-                    f"seed class {cls} out of range for {self.n_classes} classes"
-                )
+        index = np.asarray(self.index, dtype=np.int64)
+        label = np.asarray(self.label, dtype=np.int64)
+        if index.ndim != 1 or index.shape != label.shape:
+            raise ConfigError(f"seed index {index.shape} and label {label.shape} "
+                              "are not two 1-D columns of one length")
+        order = np.argsort(index, kind="stable")
+        self.index, self.label = index[order], label[order]
+        if self.index.size and self.index[0] < 0:
+            raise ConfigError(f"seed index {self.index[0]} is negative")
+        repeated = self.index[1:][np.diff(self.index) == 0]
+        if repeated.size:
+            raise ConfigError(f"duplicate seed index {repeated[0]}")
+        stray = self.label[(self.label < 0) | (self.label >= self.n_classes)]
+        if stray.size:
+            raise ConfigError(
+                f"seed class {stray[0]} out of range for {self.n_classes} classes"
+            )
 
     def __len__(self):
-        return len(self.assignments)
-
-    def sorted_items(self):
-        return sorted(self.assignments.items())
-
-    def indices(self):
-        return np.array(sorted(self.assignments), dtype=np.int64)
+        return self.index.size
 
     def check_fits(self, n):
         """Raise DataError unless every seed index is below n and C <= n."""
-        top = max(self.assignments, default=-1)
-        if top >= n:
-            raise DataError(f"seed index {top} out of range for {n} samples")
+        if self.index.size and self.index[-1] >= n:
+            raise DataError(f"seed index {self.index[-1]} out of range for {n} samples")
         if self.n_classes > n:
             raise DataError(f"{self.n_classes} classes do not fit in {n} samples")
-
-    def per_class_indices(self):
-        """Seed indices grouped by class, ascending within each class."""
-        groups = {c: [] for c in range(self.n_classes)}
-        for idx, cls in self.sorted_items():
-            groups[cls].append(idx)
-        return groups
 
 
 @dataclass
@@ -95,17 +97,13 @@ def load_seeds(path):
     """
     n_classes, entries = typed(path, "seeds file (int64 n_classes, seeds list)",
                                load_json(path), {"n_classes": int, "seeds": list})
-    assignments = {}
-    for entry in entries:
-        idx, cls = typed(path, "seed (int64 index and class)", entry,
-                         {"index": int, "class": int})
-        if idx in assignments:
-            raise FormatError(f"{path}: duplicate seed index {idx}")
-        assignments[idx] = cls
-    if not assignments:
+    pairs = [typed(path, "seed (int64 index and class)", entry, {"index": int, "class": int})
+             for entry in entries]
+    if not pairs:
         raise DegenerateInputError(f"{path}: the seeds file holds no seed")
+    index, label = np.array(pairs, dtype=np.int64).T
     try:
-        return SeedLabels(assignments=assignments, n_classes=n_classes)
+        return SeedLabels(index=index, label=label, n_classes=n_classes)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -114,7 +112,8 @@ def save_seeds(path, seeds):
     """Write seeds in the JSON format load_seeds reads."""
     doc = {
         "n_classes": seeds.n_classes,
-        "seeds": [{"index": i, "class": c} for i, c in seeds.sorted_items()],
+        "seeds": [{"index": i, "class": c}
+                  for i, c in zip(seeds.index.tolist(), seeds.label.tolist())],
     }
     save_json(path, doc, indent=2, sort_keys=False)
 
@@ -123,8 +122,7 @@ def build_label_matrix(seeds, n):
     """One-hot N x C matrix: row i is the seed class of sample i, else zeros."""
     seeds.check_fits(n)
     Y = np.zeros((n, seeds.n_classes), dtype=np.float64)
-    for idx, cls in seeds.assignments.items():
-        Y[idx, cls] = 1.0
+    Y[seeds.index, seeds.label] = 1.0
     return Y
 
 
@@ -242,17 +240,20 @@ def estimate_labels(F, seeds=None):
     """Decode labels from diffusion scores: row argmax, seeds forced.
 
     Ties go to the lowest class index; when seeds are given, every seed
-    sample gets its seed class regardless of F. Returns (labels,
-    retrieval_score) where the retrieval score is the row maximum of F.
+    sample gets its seed class regardless of F, and DataError is raised
+    unless they fit F's rows and declare its column count as C. Returns
+    (labels, retrieval_score), the retrieval score being F's row maxima.
     """
     F = np.asarray(F, dtype=np.float64)
     labels = np.argmax(F, axis=1)
     retrieval = F.max(axis=1)
     if seeds is not None:
-        for idx, cls in seeds.assignments.items():
-            if idx >= F.shape[0]:
-                raise DataError(f"seed index {idx} out of range for {F.shape[0]} samples")
-            labels[idx] = cls
+        if seeds.n_classes != F.shape[1]:
+            raise DataError(f"seeds of {seeds.n_classes} classes do not match "
+                            f"{F.shape[1]} score columns")
+        if seeds.index.size and seeds.index[-1] >= F.shape[0]:
+            raise DataError(f"seed index {seeds.index[-1]} out of range for {F.shape[0]} samples")
+        labels[seeds.index] = seeds.label
     return labels, retrieval
 
 
@@ -266,14 +267,12 @@ def nn_propagate(X, seeds):
         raise DegenerateInputError("nearest-neighbor propagation needs at least one seed")
     V = l2_normalize(X)
     seeds.check_fits(V.shape[0])
-    seed_idx = seeds.indices()
-    seed_cls = np.array([seeds.assignments[int(i)] for i in seed_idx], dtype=np.int64)
-    sims = V @ V[seed_idx].T
+    sims = V @ V[seeds.index].T
     nearest = np.argmax(sims, axis=1)  # first max = lowest seed index on ties
-    labels = seed_cls[nearest]
+    labels = seeds.label[nearest]
     score = sims[np.arange(V.shape[0]), nearest]
-    labels[seed_idx] = seed_cls
-    score[seed_idx] = 1.0
+    labels[seeds.index] = seeds.label
+    score[seeds.index] = 1.0
     return labels, score
 
 

@@ -369,7 +369,7 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     n = X.shape[0]
     seeds.check_fits(n)
     if strategy == "small-loss":
-        check_probe_classes(list(seeds.assignments.values()))
+        check_probe_classes(seeds.label)
     if method == "diffusion":
         check_solver(alpha, tol, max_iter)
     if n_r is None:

@@ -180,7 +180,7 @@ def check_budget(seeds, n_r):
     if n_r % c != 0:
         raise ConfigError(f"n_r={n_r} is not divisible by n_classes={c}")
     target = n_r // c
-    largest = max((len(g) for g in seeds.per_class_indices().values()), default=0)
+    largest = np.bincount(seeds.label, minlength=c).max()
     if target < largest:
         raise ConfigError(
             f"n_r/C={target} is below the largest per-class seed count {largest}"
@@ -195,25 +195,25 @@ def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
     seeds.check_fits(n)
     c = seeds.n_classes
     target = check_budget(seeds, n_r)
-    seed_groups = seeds.per_class_indices()
 
     is_seed = np.zeros(n, dtype=bool)
-    is_seed[list(seeds.assignments)] = True
+    is_seed[seeds.index] = True
 
     parts = []
     warnings = []
     per_class = np.zeros(c, dtype=np.int64)
     key = -scores if descending else scores
     for cls in range(c):
-        slots = target - len(seed_groups[cls])
+        seed_group = seeds.index[seeds.label == cls]
+        slots = target - seed_group.size
         candidates = np.flatnonzero((labels == cls) & ~is_seed)
         chosen = candidates[np.lexsort((candidates, key[candidates]))][:slots]
         if chosen.size < slots:
             warnings.append(
                 f"class {cls}: only {chosen.size} candidate(s) for {slots} slot(s)"
             )
-        parts += [np.asarray(seed_groups[cls], dtype=np.int64), chosen]
-        per_class[cls] = len(seed_groups[cls]) + chosen.size
+        parts += [seed_group, chosen]
+        per_class[cls] = seed_group.size + chosen.size
 
     index = np.concatenate(parts)
     return ReliableSet(

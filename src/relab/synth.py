@@ -101,14 +101,13 @@ def pick_seeds(truth, per_class, rng_seed=0):
     if n_classes < 1:
         raise ConfigError("truth labels are empty")
     rng = np.random.default_rng(rng_seed)
-    assignments = {}
+    chosen = []
     for cls in range(n_classes):
         members = np.flatnonzero(truth == cls)
         if members.size < per_class:
             raise ConfigError(
                 f"class {cls} has {members.size} samples, cannot pick {per_class} seeds"
             )
-        chosen = rng.choice(members, size=per_class, replace=False)
-        for idx in np.sort(chosen):
-            assignments[int(idx)] = cls
-    return SeedLabels(assignments=assignments, n_classes=n_classes)
+        chosen.append(rng.choice(members, size=per_class, replace=False))
+    label = np.repeat(np.arange(n_classes), per_class)
+    return SeedLabels(index=np.concatenate(chosen), label=label, n_classes=n_classes)

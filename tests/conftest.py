@@ -22,4 +22,6 @@ def two_cluster_features(n_per, dims, gap, rng_seed=7):
 
 
 def seeds_of(assignments, n_classes):
-    return SeedLabels(assignments=dict(assignments), n_classes=n_classes)
+    """SeedLabels from a {sample index: class} mapping or pairs."""
+    pairs = dict(assignments)
+    return SeedLabels(index=list(pairs), label=list(pairs.values()), n_classes=n_classes)

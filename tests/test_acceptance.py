@@ -199,19 +199,18 @@ class TestCriterion6BalanceAndSeeds:
         checked = 0
         for run_idx, run in enumerate(bootstrap_runs["runs"]):
             labels, seeds = run["labels"], run["seeds"]
-            seed_groups = seeds.per_class_indices()
             is_seed = np.zeros(labels.shape[0], dtype=bool)
-            is_seed[list(seeds.assignments)] = True
+            is_seed[seeds.index] = True
             for per_class, sel in run["selections"].items():
                 rset = sel["rset"]
                 checked += 1
                 entry_classes = dict(zip(rset.index.tolist(), rset.label.tolist()))
-                for idx, cls in seeds.assignments.items():
+                for idx, cls in zip(seeds.index.tolist(), seeds.label.tolist()):
                     if entry_classes.get(idx) != cls:
                         failures.append(f"run {run_idx} n_r/C={per_class}: "
                                         f"seed {idx} missing or relabeled")
                 for cls in range(10):
-                    available = len(seed_groups[cls]) + int(
+                    available = int(np.sum(seeds.label == cls)) + int(
                         np.sum((labels == cls) & ~is_seed))
                     expected = min(per_class, available)
                     got = int(rset.per_class_count[cls])
@@ -268,7 +267,7 @@ class TestCriterion8Invariances:
             perm = np.random.default_rng(i).permutation(X.shape[0])
             inv = np.argsort(perm)
             permuted_seeds = seeds_of(
-                {int(inv[idx]): cls for idx, cls in seeds.assignments.items()}, 3)
+                zip(inv[seeds.index].tolist(), seeds.label.tolist()), 3)
             permuted = self.chain_labels(X[perm], permuted_seeds)
             perm_ok += int(np.array_equal(permuted, base[perm]))
         ok = scale_ok == 20 and perm_ok == 20

@@ -101,20 +101,52 @@ def class_problem(n_classes, zero_columns=(), n=400, seed=0):
 
 class TestSeedLabels:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            SeedLabels(assignments={0: 2}, n_classes=2)
-        with pytest.raises(ConfigError):
-            SeedLabels(assignments={-1: 0}, n_classes=2)
-        with pytest.raises(ConfigError):
-            SeedLabels(assignments={0: 0}, n_classes=0)
+        seeds = SeedLabels(index=[7, 0, 3], label=[2, 0, 1], n_classes=3)
+        assert seeds.index.dtype == seeds.label.dtype == np.int64
+        assert seeds.index.tolist() == [0, 3, 7]
+        assert seeds.label.tolist() == [0, 1, 2]
+        with pytest.raises(ConfigError, match="seed class 2 out of range for 2 classes"):
+            SeedLabels(index=[0], label=[2], n_classes=2)
+        with pytest.raises(ConfigError, match="seed index -1 is negative"):
+            SeedLabels(index=[-1], label=[0], n_classes=2)
+        with pytest.raises(ConfigError, match="n_classes must be >= 1, got 0"):
+            SeedLabels(index=[0], label=[0], n_classes=0)
+        with pytest.raises(ConfigError, match="duplicate seed index 4"):
+            SeedLabels(index=[4, 1, 4], label=[0, 1, 1], n_classes=2)
+        with pytest.raises(ConfigError, match="duplicate seed index 3"):
+            SeedLabels(index=[7, 3, 7, 3], label=[0, 1, 1, 0], n_classes=2)
+        with pytest.raises(ConfigError, match="seed index -3 is negative"):
+            SeedLabels(index=[5, -3, 2], label=[0, 1, 1], n_classes=2)
+        with pytest.raises(ConfigError, match="seed class -1 out of range for 3 classes"):
+            SeedLabels(index=[9, 2], label=[0, -1], n_classes=3)
+        with pytest.raises(ConfigError, match="one length"):
+            SeedLabels(index=[0, 1], label=[0], n_classes=2)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "seeds.json"
         seeds = seeds_of({3: 1, 0: 0, 7: 2}, 3)
         save_seeds(path, seeds)
         loaded = load_seeds(path)
-        assert loaded.assignments == seeds.assignments
+        assert np.array_equal(loaded.index, seeds.index)
+        assert np.array_equal(loaded.label, seeds.label)
         assert loaded.n_classes == 3
+
+    def test_sorted_file_round_trips_byte_for_byte(self, tmp_path):
+        path, again = tmp_path / "seeds.json", tmp_path / "again.json"
+        save_seeds(path, seeds_of({0: 1, 5: 0, 6: 2, 40: 1}, 3))
+        save_seeds(again, load_seeds(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_entry_order_does_not_change_saved_bytes(self, tmp_path):
+        doc = {"n_classes": 3, "seeds": [{"index": i, "class": c}
+                                         for i, c in [(0, 1), (5, 0), (6, 2), (40, 1)]]}
+        sorted_path, shuffled_path = tmp_path / "sorted.json", tmp_path / "shuffled.json"
+        sorted_path.write_text(json.dumps(doc))
+        doc["seeds"] = [doc["seeds"][i] for i in (2, 0, 3, 1)]
+        shuffled_path.write_text(json.dumps(doc))
+        save_seeds(sorted_path, load_seeds(sorted_path))
+        save_seeds(shuffled_path, load_seeds(shuffled_path))
+        assert shuffled_path.read_bytes() == sorted_path.read_bytes()
 
     def test_load_rejects_duplicates(self, tmp_path):
         path = tmp_path / "seeds.json"
@@ -286,7 +318,7 @@ class TestDiffuse:
 
         perm = rng.permutation(30)
         inv = np.argsort(perm)
-        permuted_seeds = seeds_of({int(inv[i]): c for i, c in seeds.assignments.items()}, 2)
+        permuted_seeds = seeds_of(zip(inv[seeds.index].tolist(), seeds.label.tolist()), 2)
         graph_p = normalize(build_affinity(X[perm]))
         permuted = diffuse(graph_p, build_label_matrix(permuted_seeds, 30),
                            alpha=0.9, seeds=permuted_seeds).labels
@@ -362,6 +394,11 @@ class TestEstimateLabels:
         labels, scores = estimate_labels(F, seeds_of({1: 1}, 2))
         assert list(labels) == [0, 1]
         np.testing.assert_allclose(scores, [0.9, 0.8])
+
+    def test_seeds_of_another_class_count(self):
+        F = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(DataError, match="5 classes do not match 2 score columns"):
+            estimate_labels(F, seeds_of({0: 4}, 5))
 
 
 class TestNNPropagate:

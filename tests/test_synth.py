@@ -91,22 +91,29 @@ class TestPickSeeds:
     def test_one_per_class(self):
         truth = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
         seeds = pick_seeds(truth, per_class=1, rng_seed=4)
-        groups = seeds.per_class_indices()
         assert seeds.n_classes == 3
         for cls in range(3):
-            assert len(groups[cls]) == 1
-            assert truth[groups[cls][0]] == cls
+            group = seeds.index[seeds.label == cls]
+            assert len(group) == 1
+            assert truth[group[0]] == cls
+
+    def test_interleaved_truth_gives_ascending_aligned_columns(self):
+        truth = np.tile([1, 0], 10)
+        seeds = pick_seeds(truth, per_class=3, rng_seed=2)
+        assert np.all(np.diff(seeds.index) > 0)
+        assert np.array_equal(truth[seeds.index], seeds.label)
 
     def test_deterministic(self):
         truth = np.repeat(np.arange(4), 10)
         a = pick_seeds(truth, per_class=3, rng_seed=11)
         b = pick_seeds(truth, per_class=3, rng_seed=11)
-        assert a.assignments == b.assignments
+        assert np.array_equal(a.index, b.index)
+        assert np.array_equal(a.label, b.label)
 
     def test_distinct_indices(self):
         truth = np.repeat(np.arange(2), 5)
         seeds = pick_seeds(truth, per_class=4, rng_seed=0)
-        assert len(seeds) == 8  # dict keys are unique by construction
+        assert len(seeds) == 8  # SeedLabels refuses a repeated index
 
     def test_class_too_small(self):
         truth = np.array([0, 0, 1])
