@@ -8,9 +8,8 @@ propagated labels by the small-loss criterion of a linear probe.
 from .diffusion import (
     DiffusionResult,
     SeedLabels,
-    build_label_matrix,
     diffuse,
-    estimate_labels,
+    diffusion_scores,
     load_propagated,
     load_seeds,
     nn_propagate,
@@ -34,6 +33,7 @@ from .features import (
     load_features,
     pca_whiten,
     save_features,
+    unit_rows,
 )
 from .fileio import load_truth, save_truth
 from .graph import (
@@ -79,10 +79,9 @@ __all__ = [
     "TrainingDivergedError",
     "WhitenStats",
     "build_affinity",
-    "build_label_matrix",
     "compare_selection",
     "diffuse",
-    "estimate_labels",
+    "diffusion_scores",
     "generate",
     "l2_normalize",
     "load_config_file",
@@ -107,4 +106,5 @@ __all__ = [
     "select_by_retrieval_score",
     "select_reliable",
     "train_probe",
+    "unit_rows",
 ]

@@ -1,8 +1,13 @@
 """Seed-label diffusion over a normalized graph, plus a 1-NN baseline.
 
-Diffusion solves (I - alpha*S) F = Y with a block conjugate gradient over
-the class columns (the system is symmetric positive definite for
-alpha < 1), then decodes labels as the row-wise argmax of F. The nearest
+Diffusion solves (I - alpha*S) F = Y, Y one-hot at the seeds, with a
+block conjugate gradient over the class columns (the system is symmetric
+positive definite for alpha < 1) and decodes labels as the row-wise
+argmax of F. Each class column is its own system, so diffuse builds,
+solves and decodes one block of _BLOCK_ROWS columns at a time, folding
+each into a running row maximum and argmax: neither Y nor F is ever held
+whole, and the decoding is bitwise that of the whole F. diffusion_scores
+runs the same block loop for a given Y and returns F. The nearest
 neighbor baseline skips the graph entirely and copies each sample's
 cosine-closest seed label.
 """
@@ -74,15 +79,15 @@ class SeedLabels:
 
 @dataclass
 class DiffusionResult:
-    """Diffusion scores F and their argmax decoding.
+    """The labels decoded from the diffusion scores F, without F.
 
-    residual is the largest final relative residual over the class
+    labels and retrieval_score are F's row argmax (seeds forced) and row
+    maxima. residual is the largest final relative residual over the class
     columns, and iterations holds each column's CG iteration count.
     zero_rows lists samples with no diffusion mass at all (disconnected
     from every seed); they decode to class 0 by the tie rule.
     """
 
-    scores: np.ndarray
     labels: np.ndarray
     retrieval_score: np.ndarray
     residual: float
@@ -116,14 +121,6 @@ def save_seeds(path, seeds):
                   for i, c in zip(seeds.index.tolist(), seeds.label.tolist())],
     }
     save_json(path, doc, indent=2, sort_keys=False)
-
-
-def build_label_matrix(seeds, n):
-    """One-hot N x C matrix: row i is the seed class of sample i, else zeros."""
-    seeds.check_fits(n)
-    Y = np.zeros((n, seeds.n_classes), dtype=np.float64)
-    Y[seeds.index, seeds.label] = 1.0
-    return Y
 
 
 def _block_cg(S, alpha, B, tol, max_iter):
@@ -191,28 +188,18 @@ def check_solver(alpha, tol, max_iter):
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def diffuse(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-            seeds=None):
-    """Solve (I - alpha*S) F = Y and decode labels from F.
+def _solved_blocks(graph, alpha, tol, max_iter, n_columns, rhs):
+    """Solve (I - alpha*S) F = Y for _BLOCK_ROWS class columns at a time.
 
-    Block CG over the class columns, _BLOCK_ROWS columns per block; each
-    column's relative residual must reach tol within max_iter iterations
-    or SolverError is raised for the lowest such class, carrying its final
-    residual. Y is not modified. When seeds are given, decoded labels are
-    forced to the seed classes (retrieval scores stay the row maxima of F).
-    Raises ConfigError for the settings check_solver refuses.
+    rhs(lo, hi) returns the right-hand sides of classes lo..hi-1 as a
+    (hi - lo) x N array. Yields (lo, X, relative residuals, iterations)
+    per block, X holding the block's solutions as rows. Raises SolverError
+    for the lowest class of the first block that exhausts max_iter,
+    carrying that class's final residual.
     """
-    check_solver(alpha, tol, max_iter)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[0] != graph.n:
-        raise DataError(f"label matrix shape {Y.shape} does not match graph n={graph.n}")
-
-    F = np.empty_like(Y)
-    iterations = np.zeros(Y.shape[1], dtype=np.int64)
-    residual = 0.0
-    for lo in range(0, Y.shape[1], _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, Y.shape[1])
-        X, rel, its, failed = _block_cg(graph.s, alpha, Y[:, lo:hi].T, tol, max_iter)
+    for lo in range(0, n_columns, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_columns)
+        X, rel, its, failed = _block_cg(graph.s, alpha, rhs(lo, hi), tol, max_iter)
         if failed.size:
             j = int(failed[0])
             raise SolverError(
@@ -220,41 +207,87 @@ def diffuse(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
                 f"iterations (relative residual {rel[j]:.3e})",
                 residual=rel[j],
             )
-        F[:, lo:hi] = X.T
-        iterations[lo:hi] = its
-        residual = max(residual, float(rel.max()))
+        yield lo, X, rel, its
 
-    zero_rows = np.flatnonzero(~F.any(axis=1)).tolist()
-    labels, retrieval = estimate_labels(F, seeds)
+
+def diffusion_scores(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Solve (I - alpha*S) F = Y for an N x C matrix Y; returns (F, each
+    column's CG iteration count).
+
+    The same block CG as diffuse, whose labels are the row argmax of F
+    for Y one-hot at the seeds. Y is not modified. Raises ConfigError for
+    the settings check_solver refuses and SolverError as diffuse does.
+    """
+    check_solver(alpha, tol, max_iter)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] != graph.n:
+        raise DataError(f"label matrix shape {Y.shape} does not match graph n={graph.n}")
+    F = np.empty_like(Y)
+    iterations = np.zeros(Y.shape[1], dtype=np.int64)
+    for lo, X, _, its in _solved_blocks(graph, alpha, tol, max_iter, Y.shape[1],
+                                        lambda lo, hi: Y[:, lo:hi].T):
+        F[:, lo:lo + its.size] = X.T
+        iterations[lo:lo + its.size] = its
+    return F, iterations
+
+
+def _one_hot(seeds, lo, hi, n):
+    """The label matrix's columns lo..hi-1 as rows: row c - lo is one at
+    the samples seeded with class c and zero elsewhere."""
+    B = np.zeros((hi - lo, n))
+    inside = (seeds.label >= lo) & (seeds.label < hi)
+    B[seeds.label[inside] - lo, seeds.index[inside]] = 1.0
+    return B
+
+
+def _fold_block(best, labels, X, lo):
+    """Fold one block's solutions X (classes lo.. as rows) into the running
+    row maxima best and their classes labels, in place. A block replaces
+    a row's value only where it is strictly greater, and argmax takes the
+    first maximum within it, so ties go to the lowest class as a whole-row
+    argmax does."""
+    block_labels = np.argmax(X, axis=0)
+    block_best = X[block_labels, np.arange(X.shape[1])]
+    greater = block_best > best
+    best[greater] = block_best[greater]
+    labels[greater] = block_labels[greater] + lo
+
+
+def diffuse(graph, seeds, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Diffuse the seed labels over graph and decode each sample's class.
+
+    Solves (I - alpha*S) F = Y, Y one-hot at the seeds, by block CG,
+    _BLOCK_ROWS class columns at a time, and folds each block into the
+    row maxima of F and their classes: neither Y nor F is held whole.
+    Each column's relative residual must reach tol within max_iter
+    iterations or SolverError is raised for the lowest such class,
+    carrying its final residual. Labels are F's row argmax, ties to the
+    lowest class, with every seed forced to its seed class; retrieval
+    scores are F's row maxima. Raises ConfigError for the settings
+    check_solver refuses and DataError unless the seeds fit the graph.
+    """
+    check_solver(alpha, tol, max_iter)
+    n = graph.n
+    seeds.check_fits(n)
+    best = np.full(n, -np.inf)
+    labels = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    iterations = np.zeros(seeds.n_classes, dtype=np.int64)
+    residual = 0.0
+    for lo, X, rel, its in _solved_blocks(graph, alpha, tol, max_iter, seeds.n_classes,
+                                          lambda lo, hi: _one_hot(seeds, lo, hi, n)):
+        _fold_block(best, labels, X, lo)
+        reached |= X.any(axis=0)
+        iterations[lo:lo + its.size] = its
+        residual = max(residual, float(rel.max()))
+    labels[seeds.index] = seeds.label
     return DiffusionResult(
-        scores=F,
         labels=labels,
-        retrieval_score=retrieval,
+        retrieval_score=best,
         residual=residual,
         iterations=iterations,
-        zero_rows=zero_rows,
+        zero_rows=np.flatnonzero(~reached).tolist(),
     )
-
-
-def estimate_labels(F, seeds=None):
-    """Decode labels from diffusion scores: row argmax, seeds forced.
-
-    Ties go to the lowest class index; when seeds are given, every seed
-    sample gets its seed class regardless of F, and DataError is raised
-    unless they fit F's rows and declare its column count as C. Returns
-    (labels, retrieval_score), the retrieval score being F's row maxima.
-    """
-    F = np.asarray(F, dtype=np.float64)
-    labels = np.argmax(F, axis=1)
-    retrieval = F.max(axis=1)
-    if seeds is not None:
-        if seeds.n_classes != F.shape[1]:
-            raise DataError(f"seeds of {seeds.n_classes} classes do not match "
-                            f"{F.shape[1]} score columns")
-        if seeds.index.size and seeds.index[-1] >= F.shape[0]:
-            raise DataError(f"seed index {seeds.index[-1]} out of range for {F.shape[0]} samples")
-        labels[seeds.index] = seeds.label
-    return labels, retrieval
 
 
 def nn_propagate(X, seeds):

@@ -16,6 +16,9 @@ from .fileio import HEADER, atomic_write, open_binary, read_array
 
 RELF_MAGIC = b"RELF"
 RELF_VERSION = 1
+# Rows per chunk when norming and normalizing: one chunk's float64 scratch
+# is 4 MiB at D = 128.
+_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -138,15 +141,18 @@ def pca_whiten(X, eps=1e-10):
     return out, stats
 
 
-def l2_normalize(X):
-    """Scale every row to unit Euclidean norm.
+def _row_norms(X):
+    """The Euclidean norm of every row of the float64 matrix X, computed
+    _CHUNK_ROWS rows at a time: the bits of np.linalg.norm(X, axis=1)
+    without its N x D scratch.
 
     Raises DataError naming the first row whose norm is not finite (a NaN
     or infinite entry, or an overflowing sum of squares), and
     DegenerateInputError naming the first row whose norm is below 1e-12.
     """
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _CHUNK_ROWS):
+        norms[start:start + _CHUNK_ROWS] = np.linalg.norm(X[start:start + _CHUNK_ROWS], axis=1)
     bad = ~np.isfinite(norms)
     if np.any(bad):
         raise DataError(f"row {int(np.flatnonzero(bad)[0])} has a non-finite norm; "
@@ -156,4 +162,25 @@ def l2_normalize(X):
         raise DegenerateInputError(
             f"row {int(np.flatnonzero(tiny)[0])} has near-zero norm; cannot normalize"
         )
-    return X / norms[:, None]
+    return norms
+
+
+def l2_normalize(X):
+    """Scale every row to unit Euclidean norm; raises as _row_norms does."""
+    X = np.asarray(X, dtype=np.float64)
+    return X / _row_norms(X)[:, None]
+
+
+def unit_rows(X):
+    """The float32 unit rows of X: l2_normalize(X).astype(np.float32), bit
+    for bit, filled _CHUNK_ROWS rows at a time, so that no N x D float64
+    scratch is allocated beside X. Every row's norm is checked first, with
+    l2_normalize's refusals."""
+    X = np.asarray(X, dtype=np.float64)
+    norms = _row_norms(X)
+    out = np.empty(X.shape, dtype=np.float32)
+    for start in range(0, X.shape[0], _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        # A float64 division rounded to float32 on output, as astype rounds.
+        np.divide(X[start:stop], norms[start:stop, None], out=out[start:stop])
+    return out

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, FormatError, IsolatedNodeError
-from .features import l2_normalize
+from .features import unit_rows
 from .fileio import HEADER, atomic_write, open_binary, read_array
 
 DEFAULT_GAMMA = 3.0
@@ -168,7 +168,7 @@ def _directed_rows(X, k):
     """The directed graph's CSR row offsets and per-block kept columns
     (int32) and cosines, widened to float64 but before gamma. The unit rows
     and the GEMM buffer are freed when it returns."""
-    V = l2_normalize(X).astype(np.float32)
+    V = unit_rows(X)
     n = V.shape[0]
     groups = n // _GROUP_COLS
     buffer = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float32)

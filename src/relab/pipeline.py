@@ -24,7 +24,6 @@ from .diffusion import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    build_label_matrix,
     check_solver,
     diffuse,
     load_propagated,
@@ -34,8 +33,7 @@ from .diffusion import (
     save_seeds,
 )
 from .errors import ConfigError, DataError, DegenerateInputError
-from .features import (l2_normalize, load_features, pca_whiten, save_features,
-                       stored_features)
+from .features import load_features, pca_whiten, save_features, stored_features, unit_rows
 from .fileio import load_truth, save_json, save_truth
 from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
 from .metrics import compare_selection, noise_report
@@ -169,12 +167,7 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
     method "diffusion" needs graph_path; method "nn" needs features_path
     (cosine nearest seed, no graph involved).
     """
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "diffusion" and graph_path is None:
-        raise ConfigError("diffusion propagation needs a graph file (--graph)")
-    if method == "nn" and features_path is None:
-        raise ConfigError("nearest-neighbor propagation needs a features file (--features)")
+    _check_method(method, graph_path is not None, features_path is not None)
     seeds = load_seeds(seeds_path)
     if method == "diffusion":
         source = normalize(load_graph(graph_path))
@@ -183,13 +176,23 @@ def propagate_step(seeds_path, out_path, graph_path=None, features_path=None,
     return _propagate(seeds, source, out_path, method, alpha, tol, max_iter)[0]
 
 
+def _check_method(method, has_graph, has_features):
+    """Raise ConfigError unless method is one of METHODS and its input is
+    given: the graph for "diffusion", the features for "nn"."""
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "diffusion" and not has_graph:
+        raise ConfigError("diffusion propagation needs a graph file (--graph)")
+    if method == "nn" and not has_features:
+        raise ConfigError("nearest-neighbor propagation needs a features file (--features)")
+
+
 def _propagate(seeds, source, out_path, method, alpha, tol, max_iter):
     """Propagate over source, the normalized graph for "diffusion" and the
     features for "nn", and write the labels; returns (summary, labels,
     retrieval scores)."""
     if method == "diffusion":
-        Y = build_label_matrix(seeds, source.n)
-        result = diffuse(source, Y, alpha=alpha, tol=tol, max_iter=max_iter, seeds=seeds)
+        result = diffuse(source, seeds, alpha=alpha, tol=tol, max_iter=max_iter)
         labels, retrieval = result.labels, result.retrieval_score
         extra = {"alpha": alpha, "residual": result.residual,
                  "cg_iterations": _spread(result.iterations),
@@ -219,10 +222,7 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
     the standard size for the class count when one exists. The seeds
     file must declare the propagated file's class count.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "small-loss" and features_path is None:
-        raise ConfigError("small-loss selection needs a features file (--features)")
+    _check_strategy(strategy, features_path is not None)
     seeds = load_seeds(seeds_path)
     labels, retrieval, n_classes = load_propagated(propagated_path)
     if seeds.n_classes != n_classes:
@@ -231,16 +231,24 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
     seeds.check_fits(labels.shape[0])
     if n_r is None:
         n_r = default_nr(seeds.n_classes)
-    unit = (l2_normalize(load_features(features_path)).astype(np.float32)
-            if strategy == "small-loss" else None)
+    unit = unit_rows(load_features(features_path)) if strategy == "small-loss" else None
     return _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe)[0]
+
+
+def _check_strategy(strategy, has_features):
+    """Raise ConfigError unless strategy is one of STRATEGIES and, for
+    "small-loss", the features are given."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if strategy == "small-loss" and not has_features:
+        raise ConfigError("small-loss selection needs a features file (--features)")
 
 
 def _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe):
     """Select by strategy and write the reliable set; returns (summary,
-    ReliableSet). unit holds the L2-normalized features the small-loss
-    probe trains on, already cast to the probe's float32 so that no
-    float64 copy stays alive while it trains; retrieval-score does not
+    ReliableSet). unit holds the features' float32 unit rows, as
+    unit_rows returns them, that the small-loss probe trains on, so that
+    no float64 copy stays alive while it trains; retrieval-score does not
     read it."""
     if strategy == "small-loss":
         cfg = probe if probe is not None else ProbeConfig()
@@ -359,10 +367,8 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
     artifacts and step summaries match a manual chain of the subcommands
     exactly. Returns the list of per-step summaries.
     """
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    _check_method(method, has_graph=True, has_features=True)
+    _check_strategy(strategy, has_features=True)
     X = load_features(features_path)
     seeds = load_seeds(seeds_path)
     truth = None if truth_path is None else load_truth(truth_path)
@@ -402,13 +408,7 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
                                             alpha, tol, max_iter)
     steps.append(summary)
     del source
-    if strategy == "small-loss":
-        # Two statements, so the whitened and normalized float64 matrices
-        # are never alive beside the float32 copy the probe trains on.
-        X = l2_normalize(X)
-        X = X.astype(np.float32)
-    else:
-        X = None
+    X = unit_rows(X) if strategy == "small-loss" else None
     summary, rset = _select(X, labels, retrieval, seeds, path(RELIABLE_NAME), n_r,
                             strategy, probe)
     steps.append(summary)

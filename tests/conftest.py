@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,14 @@ def seeds_of(assignments, n_classes):
     """SeedLabels from a {sample index: class} mapping or pairs."""
     pairs = dict(assignments)
     return SeedLabels(index=list(pairs), label=list(pairs.values()), n_classes=n_classes)
+
+
+def traced_peak(function):
+    """(function(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = function()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from relab.diffusion import build_label_matrix, diffuse, nn_propagate
+from relab.diffusion import diffuse, diffusion_scores, nn_propagate
 from relab.features import l2_normalize, pca_whiten
 from relab.graph import AffinityGraph, build_affinity, normalize
 from relab.metrics import compare_selection, noise_report
@@ -54,8 +54,7 @@ def propagate_chain(X, seeds, alpha=0.99):
     """whiten -> cosine graph -> diffusion, the standard label chain."""
     W, _ = pca_whiten(X)
     graph = normalize(build_affinity(W))
-    Y = build_label_matrix(seeds, X.shape[0])
-    return diffuse(graph, Y, alpha=alpha, seeds=seeds), W
+    return diffuse(graph, seeds, alpha=alpha), W
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +121,7 @@ class TestCriterion1SolverOracle:
             graph = random_graph(rng, n)
             Y = random_label_matrix(rng, n)
             alpha = alphas[i % 3]
-            F = diffuse(graph, Y, alpha=alpha, tol=1e-12, max_iter=20000).scores
+            F, _ = diffusion_scores(graph, Y, alpha=alpha, tol=1e-12, max_iter=20000)
             expected = np.linalg.solve(np.eye(n) - alpha * graph.s.toarray(), Y)
             worst = max(worst, float(np.max(np.abs(F - expected))))
         elapsed = time.monotonic() - start
@@ -139,7 +138,7 @@ class TestCriterion2TrivialLimit:
             n = int(rng.integers(5, 40))
             graph = random_graph(rng, n)
             Y = random_label_matrix(rng, n)
-            F = diffuse(graph, Y, alpha=0.0).scores
+            F, _ = diffusion_scores(graph, Y, alpha=0.0)
             ok = ok and F.tobytes() == Y.tobytes()
         _report(2, ok, "alpha=0 returned F=Y bitwise on 10 random instances")
 

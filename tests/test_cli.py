@@ -20,7 +20,7 @@ import relab
 import relab.cli
 from relab.cli import cli, main
 from relab.features import save_features
-from relab.diffusion import build_label_matrix, diffuse, load_seeds
+from relab.diffusion import diffuse, load_seeds
 from relab.graph import DENSE_NODE_LIMIT, load_graph, normalize
 from relab.pipeline import (
     GRAPH_NAME,
@@ -397,7 +397,7 @@ class TestOutputModes:
         doc = json.loads(capsys.readouterr().out)
         seeds = load_seeds(workspace / "seeds.json")
         graph = normalize(load_graph(chained / GRAPH_NAME))
-        its = diffuse(graph, build_label_matrix(seeds, graph.n), seeds=seeds).iterations
+        its = diffuse(graph, seeds).iterations
         assert doc["cg_iterations"] == {"min": int(its.min()),
                                         "median": float(np.median(its)),
                                         "max": int(its.max())}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relab.features as features_module
 from relab.errors import DataError, DegenerateInputError, FormatError
 from relab.features import (
     RELF_MAGIC,
@@ -12,8 +13,11 @@ from relab.features import (
     load_features,
     pca_whiten,
     save_features,
+    unit_rows,
 )
 from relab.synth import SynthConfig, generate
+
+from conftest import traced_peak
 
 HEADER = struct.Struct("<4sIQQ")
 
@@ -217,3 +221,36 @@ class TestL2Normalize:
         X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateInputError, match="row 1"):
             l2_normalize(X)
+
+
+class TestUnitRows:
+    def test_bitwise_l2_normalize_in_float32(self, rng):
+        # N is not a multiple of the chunk size, so the last chunk is short.
+        n = 2 * features_module._CHUNK_ROWS + 5
+        X = rng.standard_normal((n, 6)) * rng.uniform(0.01, 100.0, size=(n, 1))
+        unit = unit_rows(X)
+        expected = l2_normalize(X).astype(np.float32)
+        assert unit.dtype == expected.dtype and unit.shape == expected.shape
+        assert unit.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value, error, text", [
+        (np.nan, DataError, "has a non-finite norm"),
+        (0.0, DegenerateInputError, "has near-zero norm"),
+    ])
+    def test_bad_row_in_a_later_chunk_named_globally(self, rng, value, error, text):
+        row = features_module._CHUNK_ROWS + 3
+        X = rng.standard_normal((row + 7, 3))
+        X[row] = value
+        for normalize_rows in (unit_rows, l2_normalize):
+            with pytest.raises(error, match=f"^row {row} {text}"):
+                normalize_rows(X)
+
+    def test_traced_peak_beyond_x(self, rng):
+        # l2_normalize(X).astype(np.float32) traces 14.6 MiB beyond X at
+        # N = 10k, D = 128: the norms' N x D float64 scratch, the float64
+        # quotient and the float32 copy. unit_rows traces about 5 MiB: the
+        # float32 result (4.9 MiB), after one chunk's scratch for the norms.
+        X = rng.standard_normal((10_000, 128))
+        unit, peak = traced_peak(lambda: unit_rows(X))
+        assert unit.dtype == np.float32
+        assert peak < 7 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from relab.graph import (
     save_graph,
 )
 from relab.synth import SynthConfig, generate
+
+from conftest import traced_peak
 
 HEADER = struct.Struct("<4sIQQ")
 
@@ -568,17 +569,6 @@ def dense_2k_features():
     X, _ = generate(SynthConfig(n_classes=10, per_class=200, dims=128,
                                 separation=6.0, rng_seed=0))
     return pca_whiten(X)[0]
-
-
-def traced_peak(function):
-    """(function(), the tracemalloc peak in bytes while it ran)."""
-    tracemalloc.start()
-    try:
-        result = function()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 class TestBuildMemory:

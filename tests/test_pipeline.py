@@ -74,14 +74,21 @@ class TestConfigFile:
 
 
 class TestRunPipeline:
-    def test_bad_method(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_pipeline("f", "s", tmp_path / "o", method="psychic")
+    # Real inputs, so that nothing but the one check stops the run before
+    # it creates the output directory.
+    def test_bad_method(self, fixture_files, tmp_path):
+        with pytest.raises(ConfigError) as excinfo:
+            run_fixture(fixture_files, tmp_path / "o", method="psychic")
+        assert str(excinfo.value) == "method must be one of ('diffusion', 'nn'), got 'psychic'"
+        assert excinfo.value.exit_code == 2
         assert not (tmp_path / "o").exists()
 
-    def test_bad_strategy(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_pipeline("f", "s", tmp_path / "o", strategy="vibes")
+    def test_bad_strategy(self, fixture_files, tmp_path):
+        with pytest.raises(ConfigError) as excinfo:
+            run_fixture(fixture_files, tmp_path / "o", strategy="vibes")
+        assert str(excinfo.value) == ("strategy must be one of ('small-loss', "
+                                      "'retrieval-score'), got 'vibes'")
+        assert excinfo.value.exit_code == 2
         assert not (tmp_path / "o").exists()
 
     def test_standard_fixture_fills_every_class_budget(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relab.diffusion import build_label_matrix, diffuse
+from relab.diffusion import diffuse
 from relab.errors import ConfigError, GenerationError
 from relab.features import pca_whiten
 from relab.graph import build_affinity, normalize
@@ -141,7 +141,7 @@ def diffusion_noise_pct(separation, rng_seed):
     W, _ = pca_whiten(X)
     seeds = pick_seeds(truth, per_class=4, rng_seed=rng_seed)
     graph = normalize(build_affinity(W))
-    result = diffuse(graph, build_label_matrix(seeds, len(truth)), seeds=seeds)
+    result = diffuse(graph, seeds)
     return noise_report(result.labels, truth, 10).overall_noise_pct
 
 
