@@ -14,14 +14,20 @@ cosine-closest seed label.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, SolverError
 from .features import l2_normalize
-from .fileio import load_json, load_summarized_jsonl, save_json, save_jsonl, typed
+from .fileio import (
+    load_json,
+    load_summarized_jsonl,
+    save_json,
+    save_summarized_jsonl,
+    typed,
+    typed_columns,
+)
 
 DEFAULT_ALPHA = 0.99
 DEFAULT_TOL = 1e-6
@@ -102,11 +108,12 @@ def load_seeds(path):
     """
     n_classes, entries = typed(path, "seeds file (int64 n_classes, seeds list)",
                                load_json(path), {"n_classes": int, "seeds": list})
-    pairs = [typed(path, "seed (int64 index and class)", entry, {"index": int, "class": int})
-             for entry in entries]
-    if not pairs:
+    (index, label), fault = typed_columns(path, "seed (int64 index and class)", entries,
+                                          {"index": int, "class": int})
+    if fault is not None:
+        raise fault
+    if not index.size:
         raise DegenerateInputError(f"{path}: the seeds file holds no seed")
-    index, label = np.array(pairs, dtype=np.int64).T
     try:
         return SeedLabels(index=index, label=label, n_classes=n_classes)
     except ConfigError as exc:
@@ -312,14 +319,12 @@ def nn_propagate(X, seeds):
 def save_propagated(path, labels, retrieval_score, seeds):
     """Write one propagation record per sample, in index order, then a
     trailing summary record holding the class count."""
-    labels = np.asarray(labels, dtype=np.int64).tolist()
-    scores = np.asarray(retrieval_score, dtype=np.float64).tolist()
-    records = (
-        {"index": i, "label": label, "retrieval_score": score}
-        for i, (label, score) in enumerate(zip(labels, scores))
-    )
-    summary = {"summary": True, "n_classes": seeds.n_classes}
-    save_jsonl(path, itertools.chain(records, [summary]))
+    labels = np.asarray(labels, dtype=np.int64)
+    save_summarized_jsonl(path, {
+        "index": np.arange(labels.size),
+        "label": labels,
+        "retrieval_score": np.asarray(retrieval_score, dtype=np.float64),
+    }, {"summary": True, "n_classes": seeds.n_classes})
 
 
 def load_propagated(path):
@@ -335,18 +340,18 @@ def load_propagated(path):
     (n_classes,) = typed(path, "summary record", summary, {"n_classes": int})
     if not 1 <= n_classes <= n:
         raise FormatError(f"{path}: n_classes={n_classes} out of range for {n} samples")
-    schema = {"index": int, "label": int, "retrieval_score": float}
-    labels, retrieval = [], []
-    for p, record in enumerate(records):
-        i, label, score = typed(path, "propagation record", record, schema)
-        if i != p:
-            raise FormatError(
-                f"{path}: record {p} holds sample index {i}; records must be in index order"
-            )
-        labels.append(label)
-        retrieval.append(score)
-    labels = np.array(labels, dtype=np.int64)
-    retrieval = np.array(retrieval, dtype=np.float64)
+    (index, labels, retrieval), fault = typed_columns(
+        path, "propagation record", records,
+        {"index": int, "label": int, "retrieval_score": float})
+    del records
+    misplaced = np.flatnonzero(index != np.arange(index.size))
+    if misplaced.size:
+        p = misplaced[0]
+        raise FormatError(
+            f"{path}: record {p} holds sample index {index[p]}; records must be in index order"
+        )
+    if fault is not None:
+        raise fault
     stray = labels[(labels < 0) | (labels >= n_classes)]
     if stray.size:
         raise FormatError(f"{path}: label {stray[0]} out of range for {n_classes} classes")

@@ -3,7 +3,8 @@
 Binary formats (feature and graph files) live next to the code that owns
 them in :mod:`relab.features` and :mod:`relab.graph`; this module holds the
 write-temp-then-rename primitive and the header reader they all share, plus
-readers/writers for JSON documents and JSON-lines record streams.
+readers/writers for JSON documents and for summarized JSON-lines files,
+which are written and checked a column at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import struct
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,12 +101,46 @@ def load_json(path):
 
 def _fits(value, kind):
     if type(kind) is list:
-        return type(value) is list and all(_fits(v, kind[0]) for v in value)
+        return type(value) is list and _column(value, kind[0]) is not None
     if kind is int:
         return type(value) is int and -2**63 <= value < 2**63
     if kind is float:  # false for nan, inf and an int too large for a float, like 10**400
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is kind
+
+
+def _column(values, kind):
+    """The list values as one column of kind, or None unless each value fits it.
+
+    int gives an int64 array and float a float64 array; any other kind
+    gives the list itself. The result is None exactly when
+    _fits(value, kind) is false for some value.
+    """
+    if type(kind) is list:
+        return values if all(map(_fits, values, repeat(kind))) else None
+    types = set(map(type, values))
+    if not types <= ({int, float} if kind is float else {kind}):
+        return None
+    if kind is int:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:  # outside int64
+            return None
+    if kind is float:
+        # An int converts to the nearest float, so each int is range-checked
+        # as it stands; floats are checked once converted.
+        if int in types and not all(map(_fits, values, repeat(float))):
+            return None
+        try:
+            column = np.array(values, dtype=np.float64)
+        except OverflowError:
+            return None
+        return column if np.isfinite(column).all() else None
+    return values
+
+
+def _malformed(path, what, record):
+    return FormatError(f"{path}: malformed {what}: {record!r:.200}")
 
 
 def typed(path, what, record, schema):
@@ -118,7 +155,32 @@ def typed(path, what, record, schema):
         values = [record[key] for key in schema]
         if all(map(_fits, values, schema.values())):
             return values
-    raise FormatError(f"{path}: malformed {what}: {record!r:.200}")
+    raise _malformed(path, what, record)
+
+
+def typed_columns(path, what, records, schema):
+    """Check a list of records column by column, as typed() checks one.
+
+    Returns (columns, fault). columns holds one column per schema key, in
+    schema order (int64 or float64 arrays, or lists; see _column),
+    over the longest prefix of records that typed() accepts. fault is the
+    FormatError typed() raises for the record after that prefix, or None.
+    A caller with checks of its own per record makes them on the prefix
+    before raising fault, so the error names the first offending record.
+    """
+    try:
+        columns = [_column(list(map(itemgetter(key), records)), kind)
+                   for key, kind in schema.items()]
+    except (KeyError, TypeError):  # a record that is not an object or lacks a key
+        columns = [None]
+    if all(column is not None for column in columns):
+        return columns, None
+    for p, record in enumerate(records):
+        try:
+            typed(path, what, record, schema)
+        except FormatError as fault:
+            return typed_columns(path, what, records[:p], schema)[0], fault
+    raise AssertionError(f"{path}: the column check refused {what}s that typed() accepts")
 
 
 def save_truth(path, labels):
@@ -128,18 +190,53 @@ def save_truth(path, labels):
 
 def load_truth(path):
     """Read a JSON array of class indices into an int array."""
-    (data,) = typed(path, "truth file", {"labels": load_json(path)}, {"labels": [int]})
-    if any(c < 0 for c in data):
+    data = load_json(path)
+    labels = _column(data, int) if type(data) is list else None
+    if labels is None:
+        raise _malformed(path, "truth file", {"labels": data})
+    if labels.size and labels.min() < 0:
         raise FormatError(f"{path}: truth file contains negative class indices")
-    return np.asarray(data, dtype=np.int64)
+    return labels
 
 
-def save_jsonl(path, records):
-    """Write an iterable of dict records as one JSON object per line."""
+# Rows rendered and written at a time: the file is never held whole.
+_WRITE_ROWS = 512
+
+
+def _json_texts(column):
+    """The values of a 1-D array, each as an object whose str() is its JSON text."""
+    values = column.tolist()
+    if column.dtype.kind in "iu":
+        return values  # str() of an int is json.dumps's text
+    if column.dtype.kind == "f":
+        # So is str() of a finite float; NaN and the infinities are spelled out.
+        for p in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[p] = json.dumps(values[p])
+        return values
+    text = {value: json.dumps(value) for value in set(values)}  # str or bool: few values
+    return list(map(text.__getitem__, values))
+
+
+def save_summarized_jsonl(path, columns, summary):
+    """Write one JSON object per row of columns, then the summary record.
+
+    columns maps each key, in record key order, to a 1-D column (ints,
+    floats, str or bool); rows stop at the shortest. Each line is
+    byte-identical to json.dumps of its record: lines come from one
+    %-template with the keys' JSON texts, filled _WRITE_ROWS rows at a
+    time.
+    """
+    columns = {key: np.asarray(column) for key, column in columns.items()}
+    template = "{%s}\n" % ", ".join(json.dumps(key).replace("%", "%%") + ": %s"
+                                    for key in columns)
+    n = min((column.shape[0] for column in columns.values()), default=0)
     with atomic_write(path) as handle:
-        for record in records:
-            handle.write(json.dumps(record).encode("ascii"))
-            handle.write(b"\n")
+        for start in range(0, n, _WRITE_ROWS):
+            texts = [_json_texts(column[start:start + _WRITE_ROWS])
+                     for column in columns.values()]
+            handle.write("".join(map(template.__mod__, zip(*texts))).encode("ascii"))
+        handle.write(json.dumps(summary).encode("ascii"))
+        handle.write(b"\n")
 
 
 # What bytes.strip() removes: ASCII whitespace only.
@@ -147,22 +244,9 @@ _ASCII_SPACE = " \t\n\r\x0b\x0c"
 _DECODER = json.JSONDecoder()
 
 
-def load_jsonl(path):
-    """Read a JSON-lines file into a list of dicts."""
-    with _open_for_read(path) as handle:
-        raw = handle.read()
-    # json.loads(bytes) picks each line's encoding: a BOM or NUL bytes select
-    # UTF-8-sig, UTF-16 or UTF-32, anything else UTF-8. A file without those
-    # that decodes as UTF-8 gives the same text, which one decoder parses
-    # faster; any other file goes through json.loads(bytes) line by line.
-    try:
-        text = None if b"\x00" in raw or b"\xef\xbb\xbf" in raw else raw.decode("utf-8")
-    except UnicodeDecodeError:
-        text = None
-    if text is None:
-        lines, space, parse = raw.split(b"\n"), None, json.loads
-    else:
-        lines, space, parse = text.split("\n"), _ASCII_SPACE, _DECODER.decode
+def _parse_lines(path, lines, space, parse):
+    """Each non-blank line (stripped of space) parsed by parse; raises
+    FormatError naming the first line that does not parse."""
     records = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip(space)
@@ -175,13 +259,61 @@ def load_jsonl(path):
     return records
 
 
+def _parse_joined(text):
+    """The records of text's non-blank stripped lines, parsed as one JSON
+    array, or None when that parse might differ from parsing each line.
+
+    The lines are joined with a newline and a comma. A raw newline cannot
+    sit inside a JSON string, so each joint holds a comma between values.
+    A comma followed by "{" cannot separate object members, and with no "["
+    before the last line the only array open is the outer one. So each
+    joint separates two top-level values, and as many values as lines
+    means one value per line.
+    """
+    lines = list(filter(None, map(str.strip, text.split("\n"), repeat(_ASCII_SPACE))))
+    if not lines:
+        return []
+    joined = "[" + "\n,".join(lines) + "]"
+    last, joints = len(joined) - 1 - len(lines[-1]), len(lines) - 1
+    del lines
+    if joined.count("\n,{") != joints or joined.find("[", 1, last) != -1:
+        return None
+    try:
+        records = _DECODER.decode(joined)
+    except ValueError:
+        return None
+    return records if len(records) == joints + 1 else None
+
+
 def load_summarized_jsonl(path):
     """Read a JSON-lines file whose last record is its summary, a dict with
-    a "summary" key; returns (the records before it, the summary)."""
-    records = load_jsonl(path)
+    a "summary" key; returns (the records before it, the summary).
+
+    Blank lines are skipped; a line that does not parse raises FormatError
+    naming its line number.
+    """
+    with _open_for_read(path) as handle:
+        raw = handle.read()
+    # json.loads(bytes) picks each line's encoding: a BOM or NUL bytes select
+    # UTF-8-sig, UTF-16 or UTF-32, anything else UTF-8. A file without those
+    # that decodes as UTF-8 gives the same text, which is parsed as one JSON
+    # array when that is safe (_parse_joined) and line by line otherwise;
+    # any other file goes through json.loads(bytes) line by line.
+    try:
+        text = None if b"\x00" in raw or b"\xef\xbb\xbf" in raw else raw.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is None:
+        records = _parse_lines(path, raw.split(b"\n"), None, json.loads)
+    else:
+        del raw
+        records = _parse_joined(text)
+        if records is None:
+            records = _parse_lines(path, text.split("\n"), _ASCII_SPACE, _DECODER.decode)
     if not records or not isinstance(records[-1], dict) or "summary" not in records[-1]:
         raise FormatError(f"{path}: missing trailing summary record")
-    return records[:-1], records[-1]
+    summary = records.pop()
+    return records, summary
 
 
 def save_json(path, obj, indent=2, sort_keys=True):

@@ -11,13 +11,12 @@ available as an alternative trust measure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, FormatError, TrainingDivergedError
-from .fileio import load_summarized_jsonl, save_jsonl, typed
+from .fileio import load_summarized_jsonl, save_summarized_jsonl, typed, typed_columns
 
 ORIGIN_SEED = "seed"
 ORIGIN_BOOTSTRAPPED = "bootstrapped"
@@ -256,17 +255,6 @@ def select_by_retrieval_score(labels, retrieval_score, seeds, n_r):
 
 def save_reliable(path, rset):
     """Write a reliable set as JSON lines plus a trailing summary record."""
-    entries = (
-        {
-            "index": index,
-            "class": label,
-            "origin": ORIGIN_SEED if is_seed else ORIGIN_BOOTSTRAPPED,
-            rset.score_kind: score,
-        }
-        for index, label, is_seed, score in zip(
-            rset.index.tolist(), rset.label.tolist(), rset.is_seed.tolist(), rset.score.tolist()
-        )
-    )
     summary = {
         "summary": True,
         "score_kind": rset.score_kind,
@@ -274,7 +262,12 @@ def save_reliable(path, rset):
         "per_class_count": rset.per_class_count.tolist(),
         "warnings": rset.warnings,
     }
-    save_jsonl(path, itertools.chain(entries, [summary]))
+    save_summarized_jsonl(path, {
+        "index": rset.index,
+        "class": rset.label,
+        "origin": np.where(rset.is_seed, ORIGIN_SEED, ORIGIN_BOOTSTRAPPED),
+        rset.score_kind: rset.score,
+    }, summary)
 
 
 def load_reliable(path):
@@ -292,18 +285,22 @@ def load_reliable(path):
          "warnings": [str]})
     if score_kind not in ("avg_loss", "retrieval_score"):
         raise FormatError(f"{path}: unknown score_kind {score_kind!r}")
-    schema = {"index": int, "class": int, "origin": str, score_kind: float}
-    rows, seen = [], set()
-    for record in records:
-        index, label, origin, score = typed(path, "entry", record, schema)
-        if origin not in (ORIGIN_SEED, ORIGIN_BOOTSTRAPPED):
-            raise FormatError(f"{path}: unknown origin {origin!r}")
-        if index in seen:
-            raise FormatError(f"{path}: sample index {index} listed twice")
-        seen.add(index)
-        rows.append((index, label, origin == ORIGIN_SEED, score))
-    index, label, is_seed, score = zip(*rows) if rows else ((),) * 4
-    label = np.array(label, dtype=np.int64)
+    (index, label, origin, score), fault = typed_columns(
+        path, "entry", records, {"index": int, "class": int, "origin": str, score_kind: float})
+    del records
+    # Entry p is checked for its kinds, then its origin, then for an index
+    # already listed: the first failure in that order names the entry.
+    is_seed = list(map({ORIGIN_SEED: True, ORIGIN_BOOTSTRAPPED: False}.get, origin))
+    unknown = is_seed.index(None) if None in is_seed else index.size
+    order = np.argsort(index, kind="stable")
+    repeats = order[1:][index[order[1:]] == index[order[:-1]]]
+    repeat = repeats.min() if repeats.size else index.size
+    if unknown < index.size and unknown <= repeat:
+        raise FormatError(f"{path}: unknown origin {origin[unknown]!r}")
+    if repeat < index.size:
+        raise FormatError(f"{path}: sample index {index[repeat]} listed twice")
+    if fault is not None:
+        raise fault
     counts = np.array(counts, dtype=np.int64)
     stray = label[(label < 0) | (label >= counts.size)]
     if stray.size:
@@ -320,10 +317,10 @@ def load_reliable(path):
         raise FormatError(f"{path}: per_class_count[{c}]={counts[c]} exceeds "
                           f"target_per_class={target}")
     return ReliableSet(
-        index=np.array(index, dtype=np.int64),
+        index=index,
         label=label,
         is_seed=np.array(is_seed, dtype=bool),
-        score=np.array(score, dtype=np.float64),
+        score=score,
         per_class_count=counts,
         target_per_class=target,
         score_kind=score_kind,
