@@ -114,9 +114,16 @@ def test_jsonl_rejects_malformed_line(tmp_path):
         load_summarized_jsonl(path)
 
 
+def load_jsonl(path):
+    """Every record of a JSON-lines file through the codec, the trailing
+    summary record last."""
+    records, summary = load_summarized_jsonl(path)
+    return [*records, summary]
+
+
 @pytest.mark.parametrize("load, blob", [
     (load_truth, b"[0, \xff]"),
-    (load_summarized_jsonl, b'{"index": 0}\n\xff\n'),
+    (load_jsonl, b'{"index": 0}\n\xff\n'),
 ])
 def test_json_readers_reject_bytes_that_are_not_utf8(tmp_path, load, blob):
     path = tmp_path / "bad.json"
