@@ -17,6 +17,7 @@ import click
 
 from .diffusion import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ConfigError, RelabError
+from .features import DEFAULT_EPS
 from .graph import DEFAULT_GAMMA, DEFAULT_SPARSE_K, DENSE_NODE_LIMIT
 from .pipeline import (
     METHODS,
@@ -97,7 +98,7 @@ def _options(*decorators):
     return apply
 
 
-_WHITEN_OPTIONS = click.option("--eps", type=float, default=1e-10, show_default=True,
+_WHITEN_OPTIONS = click.option("--eps", type=float, default=DEFAULT_EPS, show_default=True,
                                help="relative eigenvalue cutoff for null directions")
 _GRAPH_OPTIONS = _options(
     click.option("--gamma", type=float, default=DEFAULT_GAMMA, show_default=True,

@@ -85,7 +85,11 @@ def save_features(path, X):
         handle.write(stored.tobytes())
 
 
-def pca_whiten(X, eps=1e-10):
+# pca_whiten's relative eigenvalue cutoff, and the whiten step's default.
+DEFAULT_EPS = 1e-10
+
+
+def pca_whiten(X, eps=DEFAULT_EPS):
     """PCA-whiten rows of X; returns (whitened matrix, WhitenStats).
 
     Keeps every principal direction whose covariance eigenvalue exceeds

@@ -99,25 +99,17 @@ def load_json(path):
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _fits(value, kind):
-    if type(kind) is list:
-        return type(value) is list and _column(value, kind[0]) is not None
-    if kind is int:
-        return type(value) is int and -2**63 <= value < 2**63
-    if kind is float:  # false for nan, inf and an int too large for a float, like 10**400
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    return type(value) is kind
-
-
 def _column(values, kind):
     """The list values as one column of kind, or None unless each value fits it.
 
     int gives an int64 array and float a float64 array; any other kind
-    gives the list itself. The result is None exactly when
-    _fits(value, kind) is false for some value.
+    gives the list itself. These are the kind rules of typed(), which
+    checks each value as a one-element column.
     """
     if type(kind) is list:
-        return values if all(map(_fits, values, repeat(kind))) else None
+        fits = all(type(value) is list and _column(value, kind[0]) is not None
+                   for value in values)
+        return values if fits else None
     types = set(map(type, values))
     if not types <= ({int, float} if kind is float else {kind}):
         return None
@@ -128,13 +120,12 @@ def _column(values, kind):
             return None
     if kind is float:
         # An int converts to the nearest float, so each int is range-checked
-        # as it stands; floats are checked once converted.
-        if int in types and not all(map(_fits, values, repeat(float))):
+        # as it stands (10**400 and the ints just above the float maximum
+        # are refused); floats are checked once converted.
+        if int in types and not all(abs(value) <= sys.float_info.max
+                                    for value in values if type(value) is int):
             return None
-        try:
-            column = np.array(values, dtype=np.float64)
-        except OverflowError:
-            return None
+        column = np.array(values, dtype=np.float64)
         return column if np.isfinite(column).all() else None
     return values
 
@@ -153,7 +144,8 @@ def typed(path, what, record, schema):
     """
     if isinstance(record, dict) and all(key in record for key in schema):
         values = [record[key] for key in schema]
-        if all(map(_fits, values, schema.values())):
+        if all(_column([value], kind) is not None
+               for value, kind in zip(values, schema.values())):
             return values
     raise _malformed(path, what, record)
 
@@ -244,16 +236,16 @@ _ASCII_SPACE = " \t\n\r\x0b\x0c"
 _DECODER = json.JSONDecoder()
 
 
-def _parse_lines(path, lines, space, parse):
-    """Each non-blank line (stripped of space) parsed by parse; raises
+def _parse_lines(path, raw):
+    """json.loads of each non-blank stripped line of the bytes raw; raises
     FormatError naming the first line that does not parse."""
     records = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip(space)
+    for lineno, line in enumerate(raw.split(b"\n"), start=1):
+        line = line.strip()
         if not line:
             continue
         try:
-            records.append(parse(line))
+            records.append(json.loads(line))
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise FormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
     return records
@@ -297,19 +289,19 @@ def load_summarized_jsonl(path):
     # json.loads(bytes) picks each line's encoding: a BOM or NUL bytes select
     # UTF-8-sig, UTF-16 or UTF-32, anything else UTF-8. A file without those
     # that decodes as UTF-8 gives the same text, which is parsed as one JSON
-    # array when that is safe (_parse_joined) and line by line otherwise;
-    # any other file goes through json.loads(bytes) line by line.
+    # array when that is safe (_parse_joined). Any other file, and any text
+    # that parse declines, goes through json.loads(bytes) line by line.
     try:
         text = None if b"\x00" in raw or b"\xef\xbb\xbf" in raw else raw.decode("utf-8")
     except UnicodeDecodeError:
         text = None
     if text is None:
-        records = _parse_lines(path, raw.split(b"\n"), None, json.loads)
+        records = _parse_lines(path, raw)
     else:
         del raw
         records = _parse_joined(text)
-        if records is None:
-            records = _parse_lines(path, text.split("\n"), _ASCII_SPACE, _DECODER.decode)
+        if records is None:  # text was decoded strictly, so this encodes the file's bytes
+            records = _parse_lines(path, text.encode("utf-8"))
     if not records or not isinstance(records[-1], dict) or "summary" not in records[-1]:
         raise FormatError(f"{path}: missing trailing summary record")
     summary = records.pop()

@@ -33,7 +33,14 @@ from .diffusion import (
     save_seeds,
 )
 from .errors import ConfigError, DataError, DegenerateInputError
-from .features import load_features, pca_whiten, save_features, stored_features, unit_rows
+from .features import (
+    DEFAULT_EPS,
+    load_features,
+    pca_whiten,
+    save_features,
+    stored_features,
+    unit_rows,
+)
 from .fileio import load_truth, save_json, save_truth
 from .graph import DEFAULT_GAMMA, auto_k, build_affinity, load_graph, normalize, save_graph
 from .metrics import compare_selection, noise_report
@@ -102,7 +109,7 @@ def load_config_file(path):
     return values
 
 
-def whiten_step(in_path, out_path, eps=1e-10):
+def whiten_step(in_path, out_path, eps=DEFAULT_EPS):
     summary, stored = _whiten(load_features(in_path), out_path, eps)
     save_features(out_path, stored)
     return summary
@@ -278,8 +285,8 @@ def evaluate_step(predicted_path, truth_path, out_path, reliable_path=None):
     labels, _, n_classes = load_propagated(predicted_path)
     truth = load_truth(truth_path)
     _check_truth(truth, labels.size, n_classes, truth_path)
-    return _evaluate(labels, truth, n_classes, out_path,
-                     lambda: None if reliable_path is None else load_reliable(reliable_path))
+    rset = None if reliable_path is None else load_reliable(reliable_path)
+    return _evaluate(labels, truth, n_classes, out_path, rset)
 
 
 def _check_truth(truth, n, n_classes, truth_path):
@@ -291,18 +298,11 @@ def _check_truth(truth, n, n_classes, truth_path):
                         f"{n_classes} classes")
 
 
-def _evaluate(labels, truth, n_classes, out_path, reliable):
+def _evaluate(labels, truth, n_classes, out_path, rset):
     """Write the report of labels against truth, both of which hold one
-    class below n_classes per sample, and nest the report of the set
-    reliable() returns unless that is None; returns the summary.
-
-    reliable() runs once the labels are scored: reading the reliable file
-    before that raised the peak RSS of repeated propagate -> select ->
-    evaluate rounds (N = 10k, C = 100) by about 1 MB.
-    """
-    report = noise_report(labels, truth, n_classes)
-    doc = report.to_dict()
-    rset = reliable()
+    class below n_classes per sample, and nest the report of the reliable
+    set rset unless it is None; returns the summary."""
+    doc = noise_report(labels, truth, n_classes).to_dict()
     if rset is not None:
         doc["reliable"] = compare_selection(rset, truth, n_classes).to_dict()
     save_json(out_path, doc)
@@ -350,7 +350,7 @@ def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
     return summary
 
 
-def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
+def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=DEFAULT_EPS,
                  gamma=DEFAULT_GAMMA, k=None, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL,
                  max_iter=DEFAULT_MAX_ITER, method="diffusion", n_r=None,
                  strategy="small-loss", probe=None):
@@ -413,6 +413,5 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=1e-10,
                             strategy, probe)
     steps.append(summary)
     if truth is not None:
-        steps.append(_evaluate(labels, truth, seeds.n_classes, path(REPORT_NAME),
-                               lambda: rset))
+        steps.append(_evaluate(labels, truth, seeds.n_classes, path(REPORT_NAME), rset))
     return steps

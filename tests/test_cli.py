@@ -301,6 +301,16 @@ class TestExitCodes:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_output_directory_missing_exits_3(self, workspace, tmp_path, capsys):
+        out = tmp_path / "absent" / "w.relf"
+        code = main(["features", "whiten", "--in", str(workspace / "features.relf"),
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ") and "absent" in err
+        assert "Traceback" not in err, err
+        assert not out.parent.exists()
+
     def test_corrupt_input_file(self, tmp_path):
         bad = tmp_path / "bad.relf"
         bad.write_bytes(b"not a feature file")
@@ -644,6 +654,36 @@ class TestComposition:
                      "--out", str(tmp_path / "p.jsonl")])
         assert code == 2
         assert "--graph" in capsys.readouterr().err
+
+    def test_propagate_nn_requires_features(self, workspace, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        code = main(["propagate", "--method", "nn",
+                     "--seeds", str(workspace / "seeds.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: nearest-neighbor propagation needs a features file (--features)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes, code", [(10, 0), (3, 2)])
+    def test_select_default_nr(self, tmp_path, capsys, classes, code):
+        features, seeds = tmp_path / "f.relf", tmp_path / "s.json"
+        propagated, out = tmp_path / "p.jsonl", tmp_path / "r.jsonl"
+        assert main(["--quiet", "synth", "--classes", str(classes), "--per-class", "60",
+                     "--dims", "8", "--seeds-per-class", "2", "--out-features", str(features),
+                     "--out-truth", str(tmp_path / "t.json"), "--out-seeds", str(seeds)]) == 0
+        assert main(["--quiet", "propagate", "--method", "nn", "--features", str(features),
+                     "--seeds", str(seeds), "--out", str(propagated)]) == 0
+        assert main(["--json", "select", "--strategy", "retrieval-score",
+                     "--propagated", str(propagated), "--seeds", str(seeds),
+                     "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == ("error: no default n_r for 3 classes; "
+                                    "pass --nr explicitly\n")
+            assert not out.exists()
+        else:
+            summary = json.loads(captured.out)
+            assert summary["n_r"] == 500 and summary["target_per_class"] == 50
 
     @pytest.mark.parametrize("strategy, code", [("small-loss", 2), ("retrieval-score", 0)])
     def test_select_features_needed_by_small_loss_only(self, workspace, chained, tmp_path,

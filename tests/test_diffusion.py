@@ -593,6 +593,12 @@ class TestPropagatedIO:
         with pytest.raises(FormatError, match=message):
             load_propagated(path)
 
+    def test_summary_only_file_rejected(self, tmp_path):
+        path = tmp_path / "prop.jsonl"
+        write_records(path, [{"summary": True, "n_classes": 1}])
+        with pytest.raises(FormatError, match=r"prop\.jsonl: no records$"):
+            load_propagated(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "prop.jsonl"
         path.write_text("")

@@ -88,6 +88,14 @@ class TestFeatureIO:
         with pytest.raises(DataError):
             save_features(tmp_path / "f.relf", np.array([[np.inf, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)], ids=["no-rows", "no-columns", "1-D"])
+    def test_save_rejects_empty_or_1d(self, tmp_path, shape):
+        path = tmp_path / "f.relf"
+        with pytest.raises(DataError) as info:
+            save_features(path, np.ones(shape))
+        assert str(info.value) == f"feature matrix must be 2-D and non-empty, got shape {shape}"
+        assert not path.exists()
+
     def test_save_rejects_float32_overflow(self, tmp_path):
         path = tmp_path / "f.relf"
         with pytest.raises(DataError):

@@ -231,6 +231,13 @@ def test_jsonl_property_matches_per_line_json_loads(tmp_path_factory, lines, sum
     (str, None, False),
     ([int], [1, True], False),
     ([int], [], True),
+    # The float maximum is an int exactly; the int after it rounds down to
+    # a finite float but lies beyond it, so it is refused.
+    (float, int(sys.float_info.max), True),
+    (float, int(sys.float_info.max) + 1, False),
+    (float, -int(sys.float_info.max) - 1, False),
+    ([str], ["a", 1], False),
+    (list, [], True),
 ])
 def test_typed_kind_boundaries(kind, value, accepted):
     if accepted:

@@ -556,6 +556,25 @@ class TestGraphIO:
         with pytest.raises(DataError):
             load_graph(path)
 
+    def test_empty_graph_header(self, tmp_path):
+        path = tmp_path / "g.relg"
+        path.write_bytes(relg_bytes(0, [0], [], []))
+        with pytest.raises(FormatError, match=r"g\.relg: header declares empty graph$") as info:
+            load_graph(path)
+        assert info.value.exit_code == 3
+
+    def test_nan_value_rejected(self, tmp_path, rng):
+        path = tmp_path / "g.relg"
+        save_graph(path, build_affinity(rng.standard_normal((6, 3))))
+        raw = bytearray(path.read_bytes())
+        nnz = HEADER.unpack_from(raw)[3]
+        assert nnz > 0
+        struct.pack_into("<d", raw, len(raw) - 8 * nnz, float("nan"))  # the first value
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=r"g\.relg: non-finite affinity value$") as info:
+            load_graph(path)
+        assert info.value.exit_code == 3
+
     def test_nonzero_diagonal_rejected(self, tmp_path):
         path = tmp_path / "g.relg"
         path.write_bytes(relg_bytes(2, [0, 1, 2], [0, 1], [1.0, 1.0]))
