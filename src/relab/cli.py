@@ -32,8 +32,10 @@ from .pipeline import (
     whiten_step,
 )
 from .selection import ProbeConfig
+from .synth import SynthConfig
 
 _PROBE_DEFAULTS = ProbeConfig()
+_SYNTH_DEFAULTS = SynthConfig()
 
 
 @dataclass
@@ -68,9 +70,10 @@ def _default_map(command, config, used):
     return {param.name: _flag_text(config[key], param.multiple) for param, key in keys.items()}
 
 
-def _probe(options):
-    """Pop the probe flags, whose destinations are ProbeConfig's fields."""
-    return ProbeConfig(**{f.name: options.pop(f.name) for f in fields(ProbeConfig)})
+def _config(cls, options):
+    """Pop the flags whose destinations are the fields of cls, ProbeConfig
+    or SynthConfig, and bundle them in one."""
+    return cls(**{f.name: options.pop(f.name) for f in fields(cls)})
 
 
 def _emit(ctx, summary):
@@ -211,7 +214,7 @@ def propagate(ctx, **options):
 @click.pass_context
 def select(ctx, **options):
     """Select the class-balanced reliable subset."""
-    probe = _probe(options)
+    probe = _config(ProbeConfig, options)
     _emit(ctx, select_step(probe=probe, **options))
 
 
@@ -229,14 +232,17 @@ def evaluate(ctx, **options):
     _emit(ctx, evaluate_step(**options))
 
 
+# Synth flags up to --imbalance fill SynthConfig; an absent --imbalance is None.
 @cli.command()
-@click.option("--classes", "n_classes", type=int, default=10, show_default=True)
-@click.option("--per-class", type=int, default=100, show_default=True)
-@click.option("--dims", type=int, default=32, show_default=True)
-@click.option("--separation", type=float, default=3.0, show_default=True,
-              help="minimum center distance in within-cluster std units")
-@click.option("--rng-seed", type=int, default=0, show_default=True)
+@click.option("--classes", "n_classes", type=int, default=_SYNTH_DEFAULTS.n_classes,
+              show_default=True)
+@click.option("--per-class", type=int, default=_SYNTH_DEFAULTS.per_class, show_default=True)
+@click.option("--dims", type=int, default=_SYNTH_DEFAULTS.dims, show_default=True)
+@click.option("--separation", type=float, default=_SYNTH_DEFAULTS.separation,
+              show_default=True, help="minimum center distance in within-cluster std units")
+@click.option("--rng-seed", type=int, default=_SYNTH_DEFAULTS.rng_seed, show_default=True)
 @click.option("--imbalance", type=int, multiple=True,
+              callback=lambda _ctx, _param, counts: counts or None,
               help="per-class counts (repeat C times); overrides --per-class")
 @click.option("--out-features", metavar="PATH", required=True)
 @click.option("--out-truth", metavar="PATH", required=True)
@@ -246,7 +252,8 @@ def evaluate(ctx, **options):
 @click.pass_context
 def synth(ctx, **options):
     """Generate a labeled Gaussian-mixture fixture."""
-    _emit(ctx, synth_step(**options))
+    config = _config(SynthConfig, options)
+    _emit(ctx, synth_step(synth=config, **options))
 
 
 @cli.command()
@@ -263,7 +270,7 @@ def synth(ctx, **options):
 @click.pass_context
 def pipeline(ctx, **options):
     """Run whiten, graph, propagate, select, and evaluate in one go."""
-    probe = _probe(options)
+    probe = _config(ProbeConfig, options)
     _emit(ctx, run_pipeline(probe=probe, **options))
 
 
@@ -286,7 +293,3 @@ def main(argv=None):
         click.echo(f"error: {exc}", err=True)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

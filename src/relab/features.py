@@ -82,7 +82,7 @@ def save_features(path, X):
     stored = stored_features(X)
     with atomic_write(path) as handle:
         handle.write(HEADER.pack(RELF_MAGIC, RELF_VERSION, *stored.shape))
-        handle.write(stored.tobytes())
+        handle.write(stored)
 
 
 # pca_whiten's relative eigenvalue cutoff, and the whiten step's default.

@@ -28,8 +28,8 @@ HEADER = struct.Struct("<4sIQQ")
 
 
 @contextmanager
-def atomic_write(path, mode="wb"):
-    """Open a temporary file and rename it onto `path` on success.
+def atomic_write(path):
+    """Open a temporary binary file and rename it onto `path` on success.
 
     Interrupted or failing writers leave no partial artifact behind: the
     temp file lives in the destination directory (so the final rename is
@@ -42,7 +42,7 @@ def atomic_write(path, mode="wb"):
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, mode) as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp_path, path)
     except BaseException:

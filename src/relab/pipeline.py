@@ -69,14 +69,17 @@ RELIABLE_NAME = "reliable.jsonl"
 REPORT_NAME = "report.json"
 
 
-def default_nr(n_classes):
-    """The standard reliable-set size for a class count, if one exists."""
-    try:
-        return _NR_DEFAULTS[n_classes]
-    except KeyError:
-        raise ConfigError(
-            f"no default n_r for {n_classes} classes; pass --nr explicitly"
-        ) from None
+def resolve_nr(seeds, n_r):
+    """The reliable-set size for seeds: n_r, or for None the standard size
+    for the seeds' class count. Raises ConfigError when there is no
+    standard size or when check_budget refuses the size."""
+    if n_r is None:
+        n_r = _NR_DEFAULTS.get(seeds.n_classes)
+        if n_r is None:
+            raise ConfigError(
+                f"no default n_r for {seeds.n_classes} classes; pass --nr explicitly")
+    check_budget(seeds, n_r)
+    return n_r
 
 
 def load_config_file(path):
@@ -225,8 +228,8 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
 
     Features are L2-normalized before probe training (the probe sees the
     same geometry the affinity graph used); strategy "small-loss" needs
-    features_path and "retrieval-score" never reads it. n_r=None picks
-    the standard size for the class count when one exists. The seeds
+    features_path and "retrieval-score" never reads it. n_r is resolved
+    and checked by resolve_nr before the features are read. The seeds
     file must declare the propagated file's class count.
     """
     _check_strategy(strategy, features_path is not None)
@@ -236,8 +239,7 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
         raise DataError(f"{seeds_path}: n_classes={seeds.n_classes} differs from the "
                         f"{n_classes} of {propagated_path}")
     seeds.check_fits(labels.shape[0])
-    if n_r is None:
-        n_r = default_nr(seeds.n_classes)
+    n_r = resolve_nr(seeds, n_r)
     unit = unit_rows(load_features(features_path)) if strategy == "small-loss" else None
     return _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe)[0]
 
@@ -309,37 +311,29 @@ def _evaluate(labels, truth, n_classes, out_path, rset):
     return {"step": "evaluate", "out": str(out_path), **doc}
 
 
-def synth_step(out_features, out_truth, n_classes=10, per_class=100, dims=32,
-               separation=3.0, rng_seed=0, imbalance=None, out_seeds=None,
-               seeds_per_class=None):
-    """Generate a synthetic fixture; optionally also a seed file.
+def synth_step(out_features, out_truth, synth=None, out_seeds=None, seeds_per_class=None):
+    """Generate the synthetic fixture of synth, a SynthConfig (its defaults
+    when None); optionally also a seed file.
 
     seeds_per_class is checked whenever it is given, and the seeds are
     picked before any file is written, so a seeds request that cannot be
     met leaves no file behind.
     """
-    cfg = SynthConfig(
-        n_classes=n_classes,
-        per_class=per_class,
-        dims=dims,
-        separation=separation,
-        rng_seed=rng_seed,
-        imbalance=tuple(imbalance) if imbalance else None,
-    )
+    cfg = synth if synth is not None else SynthConfig()
     if out_seeds is not None and seeds_per_class is None:
         raise ConfigError("writing a seeds file needs seeds-per-class")
     if seeds_per_class is not None:
         check_seeds_per_class(seeds_per_class)
     X, truth = generate(cfg)
-    seeds = None if out_seeds is None else pick_seeds(truth, seeds_per_class, rng_seed=rng_seed)
+    seeds = None if out_seeds is None else pick_seeds(truth, seeds_per_class, cfg.rng_seed)
     save_features(out_features, X)
     save_truth(out_truth, truth)
     summary = {
         "step": "synth",
         "n": int(truth.shape[0]),
-        "n_classes": n_classes,
-        "dims": dims,
-        "separation": separation,
+        "n_classes": cfg.n_classes,
+        "dims": cfg.dims,
+        "separation": cfg.separation,
         "out_features": str(out_features),
         "out_truth": str(out_truth),
     }
@@ -378,9 +372,7 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=DEFAUL
         check_probe_classes(seeds.label)
     if method == "diffusion":
         check_solver(alpha, tol, max_iter)
-    if n_r is None:
-        n_r = default_nr(seeds.n_classes)
-    check_budget(seeds, n_r)
+    n_r = resolve_nr(seeds, n_r)
     if truth is not None:
         _check_truth(truth, n, seeds.n_classes, truth_path)
 

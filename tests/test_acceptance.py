@@ -280,7 +280,8 @@ class TestCriterion9Determinism:
         data = tmp_path / "data"
         data.mkdir()
         synth_step(str(data / "features.relf"), str(data / "truth.json"),
-                   n_classes=4, per_class=30, dims=8, separation=8.0, rng_seed=0,
+                   SynthConfig(n_classes=4, per_class=30, dims=8, separation=8.0,
+                               rng_seed=0),
                    out_seeds=str(data / "seeds.json"), seeds_per_class=3)
         artifacts = [WHITENED_NAME, GRAPH_NAME, PROPAGATED_NAME, RELIABLE_NAME,
                      REPORT_NAME]

@@ -30,6 +30,7 @@ from relab.pipeline import (
     WHITENED_NAME,
 )
 from relab.selection import ProbeConfig
+from relab.synth import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -685,6 +686,25 @@ class TestComposition:
             summary = json.loads(captured.out)
             assert summary["n_r"] == 500 and summary["target_per_class"] == 50
 
+    @pytest.mark.parametrize("nr, message", [
+        ("41", "n_r=41 is not divisible by n_classes=4"),
+        ("8", "n_r/C=2 is below the largest per-class seed count 3"),
+    ], ids=["indivisible", "below-seeds"])
+    def test_select_refuses_nr_before_reading_features(self, workspace, chained, tmp_path,
+                                                       capsys, monkeypatch, nr, message):
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("select went past its --nr check")
+
+        monkeypatch.setattr(relab.pipeline, "load_features", unreachable)
+        monkeypatch.setattr(relab.pipeline, "train_probe", unreachable)
+        out = tmp_path / "r.jsonl"
+        assert main(["select", "--features", str(chained / WHITENED_NAME),
+                     "--propagated", str(chained / PROPAGATED_NAME),
+                     "--seeds", str(workspace / "seeds.json"), "--nr", nr,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy, code", [("small-loss", 2), ("retrieval-score", 0)])
     def test_select_features_needed_by_small_loss_only(self, workspace, chained, tmp_path,
                                                        capsys, strategy, code):
@@ -1231,17 +1251,51 @@ def leaf_commands(group, path=()):
             yield path + (name,), command
 
 
+CONFIGS = {"probe": ProbeConfig, "synth": SynthConfig}
+
+
+def field_names(cls):
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+def bundles(names):
+    """{step keyword: config class} of the CONFIGS whose fields are all
+    among a command's option names. `synth --rng-seed` shares a name with
+    a ProbeConfig field, and `select --rng-seed` with a SynthConfig field,
+    not the bundle."""
+    return {keyword: cls for keyword, cls in CONFIGS.items() if field_names(cls) <= names}
+
+
 class TestCliParity:
     @pytest.mark.parametrize("path", [path for path, _ in leaf_commands(cli)], ids="-".join)
     def test_options_are_step_parameters(self, path):
-        """A command hands its options to its step by name, the probe flags
-        as one ProbeConfig: a renamed destination fails here."""
+        """A command hands its options to its step by name, the probe and
+        synth flags as one ProbeConfig or SynthConfig: a renamed destination
+        fails here."""
         names = {param.name for param in dict(leaf_commands(cli))[path].params}
-        probe = {field.name for field in dataclasses.fields(ProbeConfig)}
-        # `synth --rng-seed` shares a name with a probe field, not the bundle.
-        expected = names - probe | {"probe"} if probe <= names else names
+        expected = set(names)
+        for keyword, cls in bundles(names).items():
+            expected = expected - field_names(cls) | {keyword}
         step = getattr(relab.cli, STEPS[path])
         assert set(inspect.signature(step).parameters) == expected
+
+    @pytest.mark.parametrize("path", [path for path, _ in leaf_commands(cli)], ids="-".join)
+    def test_option_defaults_are_destination_defaults(self, path):
+        """What a command hands on for an absent option is the default of
+        its destination: the step's keyword default, or the ProbeConfig or
+        SynthConfig field default. A default declared twice cannot drift."""
+        command = dict(leaf_commands(cli))[path]
+        names = {param.name for param in command.params}
+        step = inspect.signature(getattr(relab.cli, STEPS[path])).parameters
+        defaults = {name: param.default for name, param in step.items()
+                    if param.default is not inspect.Parameter.empty}
+        for cls in bundles(names).values():
+            defaults.update((field.name, field.default) for field in dataclasses.fields(cls))
+        required = [text for param in command.params if param.required
+                    for text in (param.opts[0], "x")]
+        handed = command.make_context(path[-1], required).params
+        shared = names & defaults.keys()
+        assert {name: handed[name] for name in shared} == {name: defaults[name] for name in shared}
 
     @pytest.mark.parametrize("path", [
         ("features", "whiten"), ("graph", "build"), ("propagate",), ("select",)])

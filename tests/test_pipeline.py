@@ -22,22 +22,36 @@ from relab.pipeline import (
     RELIABLE_NAME,
     REPORT_NAME,
     WHITENED_NAME,
-    default_nr,
     load_config_file,
+    resolve_nr,
     run_pipeline,
     synth_step,
 )
 from relab.selection import load_reliable
+from relab.synth import SynthConfig
+
+from conftest import seeds_of
+
+
+def one_seed_per_class(n_classes):
+    return seeds_of(zip(range(n_classes), range(n_classes)), n_classes)
 
 
 class TestDefaultNr:
     def test_standard_sizes(self):
-        assert default_nr(10) == 500
-        assert default_nr(100) == 4000
+        assert resolve_nr(one_seed_per_class(10), None) == 500
+        assert resolve_nr(one_seed_per_class(100), None) == 4000
 
     def test_other_class_counts_need_explicit_nr(self):
-        with pytest.raises(ConfigError):
-            default_nr(7)
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_nr(one_seed_per_class(7), None)
+        assert str(excinfo.value) == "no default n_r for 7 classes; pass --nr explicitly"
+
+    def test_explicit_nr_is_checked_against_the_budget(self):
+        assert resolve_nr(one_seed_per_class(7), 14) == 14
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_nr(one_seed_per_class(7), 15)
+        assert str(excinfo.value) == "n_r=15 is not divisible by n_classes=7"
 
 
 class TestConfigFile:
@@ -98,9 +112,9 @@ class TestRunPipeline:
         data = tmp_path / "data"
         data.mkdir()
         synth_step(str(data / "features.relf"), str(data / "truth.json"),
-                   n_classes=10, per_class=100, dims=32, separation=8.0,
-                   rng_seed=1, out_seeds=str(data / "seeds.json"),
-                   seeds_per_class=4)
+                   SynthConfig(n_classes=10, per_class=100, dims=32, separation=8.0,
+                               rng_seed=1),
+                   out_seeds=str(data / "seeds.json"), seeds_per_class=4)
         out = tmp_path / "run"
         steps = run_pipeline(str(data / "features.relf"), str(data / "seeds.json"),
                              str(out), truth_path=str(data / "truth.json"), n_r=500)
@@ -124,9 +138,9 @@ class TestRunPipeline:
         data = tmp_path / "data"
         data.mkdir()
         synth_step(str(data / "features.relf"), str(data / "truth.json"),
-                   n_classes=4, per_class=10, dims=6, separation=8.0,
-                   rng_seed=0, out_seeds=str(data / "seeds.json"),
-                   seeds_per_class=2)
+                   SynthConfig(n_classes=4, per_class=10, dims=6, separation=8.0,
+                               rng_seed=0),
+                   out_seeds=str(data / "seeds.json"), seeds_per_class=2)
         out = tmp_path / "run"
         steps = run_pipeline(str(data / "features.relf"), str(data / "seeds.json"),
                              str(out), n_r=12)
@@ -138,7 +152,7 @@ class TestRunPipeline:
     def test_synth_step_seed_file_needs_count(self, tmp_path):
         with pytest.raises(ConfigError):
             synth_step(str(tmp_path / "f.relf"), str(tmp_path / "t.json"),
-                       n_classes=2, per_class=3, dims=4,
+                       SynthConfig(n_classes=2, per_class=3, dims=4),
                        out_seeds=str(tmp_path / "s.json"), seeds_per_class=None)
 
 
@@ -147,7 +161,7 @@ def fixture_files(tmp_path_factory):
     """A 3-class, 60-sample synth fixture with 2 seeds per class."""
     data = tmp_path_factory.mktemp("pipeline-data")
     synth_step(str(data / "features.relf"), str(data / "truth.json"),
-               n_classes=3, per_class=20, dims=6, separation=6.0, rng_seed=3,
+               SynthConfig(n_classes=3, per_class=20, dims=6, separation=6.0, rng_seed=3),
                out_seeds=str(data / "seeds.json"), seeds_per_class=2)
     return data
 

@@ -27,6 +27,7 @@ from relab.selection import (
     select_reliable,
     train_probe,
 )
+from relab.synth import SynthConfig
 
 from conftest import seeds_of, two_cluster_features
 
@@ -246,8 +247,9 @@ def probe_inputs(request, tmp_path_factory):
     class."""
     classes, per_class, dims, n_r = request.param
     root = tmp_path_factory.mktemp("probe-inputs")
-    synth_step(root / "features.relf", root / "truth.json", n_classes=classes,
-               per_class=per_class, dims=dims, separation=6.0,
+    synth_step(root / "features.relf", root / "truth.json",
+               SynthConfig(n_classes=classes, per_class=per_class, dims=dims,
+                           separation=6.0),
                out_seeds=root / "seeds.json", seeds_per_class=4)
     run_pipeline(root / "features.relf", root / "seeds.json", root / "run", n_r=n_r,
                  strategy="retrieval-score")
