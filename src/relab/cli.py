@@ -20,6 +20,7 @@ from .errors import ConfigError, RelabError
 from .features import DEFAULT_EPS
 from .graph import DEFAULT_GAMMA, DEFAULT_SPARSE_K, DENSE_NODE_LIMIT
 from .pipeline import (
+    _NR_DEFAULTS,
     METHODS,
     STRATEGIES,
     evaluate_step,
@@ -118,10 +119,13 @@ _PROPAGATE_OPTIONS = _options(
     click.option("--method", type=click.Choice(METHODS), default="diffusion",
                  show_default=True),
 )
+# "500 for 10 classes, 4000 for 100": the first size names its unit.
+_NR_SIZES = [f"{n_r} for {c}" for c, n_r in _NR_DEFAULTS.items()]
+_NR_SIZES[0] += " classes"
 # Probe destinations are ProbeConfig's fields.
 _SELECT_OPTIONS = _options(
     click.option("--nr", "n_r", type=int, default=None,
-                 help="reliable-set size; default 500 for 10 classes, 4000 for 100"),
+                 help="reliable-set size; default " + ", ".join(_NR_SIZES)),
     click.option("--strategy", type=click.Choice(STRATEGIES), default="small-loss",
                  show_default=True),
     click.option("--epochs", type=int, default=_PROBE_DEFAULTS.epochs, show_default=True),

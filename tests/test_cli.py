@@ -23,6 +23,7 @@ from relab.features import save_features
 from relab.diffusion import diffuse, load_seeds
 from relab.graph import DENSE_NODE_LIMIT, load_graph, normalize
 from relab.pipeline import (
+    _NR_DEFAULTS,
     GRAPH_NAME,
     PROPAGATED_NAME,
     RELIABLE_NAME,
@@ -1296,6 +1297,15 @@ class TestCliParity:
         handed = command.make_context(path[-1], required).params
         shared = names & defaults.keys()
         assert {name: handed[name] for name in shared} == {name: defaults[name] for name in shared}
+
+    @pytest.mark.parametrize("command", ["select", "pipeline"])
+    def test_nr_help_shows_every_default_size(self, command, capsys):
+        """--nr's help names each (C, n_r) pair of the default table."""
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert len(_NR_DEFAULTS) >= 2
+        for n_classes, n_r in _NR_DEFAULTS.items():
+            assert re.search(rf"\b{n_r} for {n_classes}\b", text), (n_classes, n_r)
 
     @pytest.mark.parametrize("path", [
         ("features", "whiten"), ("graph", "build"), ("propagate",), ("select",)])

@@ -73,8 +73,9 @@ def oracle_cg(matvec, b, tol, max_iter):
 def oracle_diffuse(graph, Y, alpha, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """One oracle_cg solve per class column, in class order.
 
-    Returns (F, iterations), or (None, (class, residual)) for the first
-    class that did not converge.
+    Returns (F, iterations, residuals), each column's iteration count and
+    final relative residual. When a class does not converge, F is None and
+    residuals ends with that class's residual.
     """
     S = graph.s
 
@@ -82,14 +83,15 @@ def oracle_diffuse(graph, Y, alpha, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         return x - alpha * (S @ x)
 
     F = np.empty_like(Y)
-    iterations = []
+    iterations, residuals = [], []
     for c in range(Y.shape[1]):
         x, rel, its = oracle_cg(matvec, Y[:, c], tol, max_iter)
+        residuals.append(rel)
         if x is None:
-            return None, (c, rel)
+            return None, iterations, residuals
         F[:, c] = x
         iterations.append(its)
-    return F, iterations
+    return F, iterations, residuals
 
 
 def class_problem(n_classes, zero_columns=(), n=400, seed=0):
@@ -109,14 +111,11 @@ def class_problem(n_classes, zero_columns=(), n=400, seed=0):
 
 def decode(blocks):
     """Labels and row maxima of F given as its class blocks (rows are
-    classes), folded as diffuse folds them."""
+    classes), decoded by diffuse's argmax decoder with no seed."""
     blocks = [np.asarray(X, dtype=np.float64) for X in blocks]
-    n = blocks[0].shape[1]
-    best, labels = np.full(n, -np.inf), np.zeros(n, dtype=np.int64)
-    lo = 0
-    for X in blocks:
-        diffusion_module._fold_block(best, labels, X, lo)
-        lo += len(X)
+    los = np.cumsum([0] + [len(X) for X in blocks]).tolist()
+    seeds = SeedLabels(index=[], label=[], n_classes=los[-1])
+    labels, best, _ = diffusion_module._argmax_decode(zip(los, blocks), blocks[0].shape[1], seeds)
     return labels, best
 
 
@@ -324,6 +323,19 @@ class TestDiffuse:
         with pytest.raises(DataError, match="6 classes do not fit in 5 samples"):
             diffuse(graph, seeds_of({0: 0}, 6))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_matrix_refused(self, rng, value):
+        # A NaN column would otherwise be solved as zero and an infinite
+        # one would run every iteration to a NaN residual.
+        graph = random_normalized_graph(rng, 5)
+        Y = np.zeros((5, 3))
+        Y[0, 0] = 1.0
+        Y[3, 1] = Y[4, 0] = value
+        with pytest.raises(DataError, match=r"^label matrix entry \(3, 1\) is not finite$"):
+            diffusion_scores(graph, Y)
+        with pytest.raises(ConfigError):
+            diffusion_scores(graph, Y, alpha=1.0)
+
     def test_non_convergence_raises_with_residual(self, rng):
         graph = random_normalized_graph(rng, 30)
         with pytest.raises(SolverError) as excinfo:
@@ -361,7 +373,7 @@ class TestBlockCGMatchesOracle:
     def test_scores_and_iterations_bitwise(self, n_classes):
         graph, _, Y = class_problem(n_classes)
         F, iterations = diffusion_scores(graph, Y, alpha=0.99)
-        expected, oracle_iterations = oracle_diffuse(graph, Y, 0.99)
+        expected, oracle_iterations, _ = oracle_diffuse(graph, Y, 0.99)
         assert F.tobytes() == expected.tobytes()
         assert iterations.tolist() == oracle_iterations
 
@@ -369,7 +381,7 @@ class TestBlockCGMatchesOracle:
         # One all-zero column in each of the first two blocks.
         graph, _, Y = class_problem(20, zero_columns=(3, 17))
         F, iterations = diffusion_scores(graph, Y, alpha=0.9)
-        expected, oracle_iterations = oracle_diffuse(graph, Y, 0.9)
+        expected, oracle_iterations, _ = oracle_diffuse(graph, Y, 0.9)
         assert F.tobytes() == expected.tobytes()
         assert not F[:, [3, 17]].any()
         assert iterations[[3, 17]].tolist() == [0, 0]
@@ -381,7 +393,7 @@ class TestBlockCGMatchesOracle:
         # that column in about one step while the seed columns go on.
         Y[:, 5] = np.sqrt(graph.degrees)
         F, iterations = diffusion_scores(graph, Y, alpha=0.99)
-        expected, oracle_iterations = oracle_diffuse(graph, Y, 0.99)
+        expected, oracle_iterations, _ = oracle_diffuse(graph, Y, 0.99)
         assert F.tobytes() == expected.tobytes()
         assert iterations.tolist() == oracle_iterations
         assert oracle_iterations[5] <= 2 < 10 < min(oracle_iterations[:5] + oracle_iterations[6:])
@@ -391,7 +403,9 @@ class TestBlockCGMatchesOracle:
         # With the first 17 columns empty, the failing class is 17, in the
         # second block; diffuse and diffusion_scores both name it.
         graph, seeds, Y = class_problem(20, zero_columns=zero_columns)
-        _, (cls, rel) = oracle_diffuse(graph, Y, 0.99, tol=1e-12, max_iter=5)
+        F, _, residuals = oracle_diffuse(graph, Y, 0.99, tol=1e-12, max_iter=5)
+        assert F is None
+        cls, rel = len(residuals) - 1, residuals[-1]
         assert cls == (zero_columns[-1] + 1 if zero_columns else 0)
         for solve in (lambda: diffusion_scores(graph, Y, alpha=0.99, tol=1e-12, max_iter=5),
                       lambda: diffuse(graph, seeds, alpha=0.99, tol=1e-12, max_iter=5)):
@@ -417,7 +431,7 @@ class TestBlockDecode:
     def test_labels_and_scores_bitwise_oracle(self, n_classes):
         graph, seeds, Y = class_problem(n_classes)
         result = diffuse(graph, seeds, alpha=0.99)
-        F, iterations = oracle_diffuse(graph, Y, 0.99)
+        F, iterations, _ = oracle_diffuse(graph, Y, 0.99)
         expected = np.argmax(F, axis=1)
         expected[seeds.index] = seeds.label
         assert result.labels.tobytes() == expected.tobytes()
@@ -426,6 +440,21 @@ class TestBlockDecode:
         assert result.zero_rows == np.flatnonzero(~F.any(axis=1)).tolist()
         if n_classes > 16:
             assert (result.labels >= 16).any()  # some maxima lie in a later block
+
+    @pytest.mark.parametrize("n_classes, zero_columns", [
+        (1, ()), (16, ()), (17, ()), (100, ()), (20, (3, 17)), (17, tuple(range(16))), (1, (0,))])
+    def test_residual_is_oracle_maximum_bitwise(self, n_classes, zero_columns):
+        # The largest final residual over the columns; all-zero columns
+        # count as solved with residual 0.0.
+        graph, seeds, Y = class_problem(n_classes, zero_columns=zero_columns)
+        _, _, residuals = oracle_diffuse(graph, Y, 0.99)
+        residual = diffuse(graph, seeds, alpha=0.99).residual
+        assert type(residual) is float
+        assert np.float64(residual).tobytes() == np.float64(max(residuals)).tobytes()
+        if len(zero_columns) == n_classes:
+            assert residual == 0.0
+        else:
+            assert residual > 0.0
 
     def test_zero_rows_across_blocks(self, rng):
         # Two components; the second holds no seed, so its rows have no

@@ -157,6 +157,17 @@ class TestWhitening:
         with pytest.raises(DegenerateInputError):
             pca_whiten(np.ones((4, 3)))
 
+    @pytest.mark.parametrize("values", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)],
+                             ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+    def test_non_finite_entry_names_first_row(self, rng, monkeypatch, values):
+        # Three-row chunks put the first bad row, 7, in the third chunk.
+        monkeypatch.setattr(features_module, "_CHUNK_ROWS", 3)
+        X = rng.standard_normal((12, 4))
+        for row, value in zip((7, 10), values):
+            X[row, 2] = value
+        with pytest.raises(DataError, match=r"^row 7 has a non-finite entry; cannot whiten$"):
+            pca_whiten(X)
+
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
             pca_whiten(np.array([[1.0, 2.0]]))
