@@ -3,8 +3,10 @@
 The affinity between two samples is their cosine similarity clamped at zero
 and raised to a sharpening exponent (gamma, default 3), with a zero
 diagonal. Each node keeps its k strongest neighbours and the graph is
-symmetrized with an elementwise max; k=None keeps every neighbour with a
-positive affinity, which is the dense graph.
+symmetrized with an elementwise max. Keeping every neighbour with a
+positive affinity is the dense graph (k = N - 1); k=None follows auto_k,
+which keeps it up to DENSE_NODE_LIMIT samples and DEFAULT_SPARSE_K
+neighbours above, so no default builds an N x N graph at scale.
 
 There is one construction for both. It never holds the N x N
 similarities: it computes them in blocks of _BLOCK_ROWS rows with one
@@ -55,8 +57,8 @@ from .features import unit_rows
 from .fileio import HEADER, atomic_write, open_binary, read_array
 
 DEFAULT_GAMMA = 3.0
-# Up to this many nodes the CLI and the pipeline steps keep every positive
-# affinity (k=None); above it they keep DEFAULT_SPARSE_K neighbours.
+# Up to this many nodes an omitted k keeps every positive affinity; above
+# it, DEFAULT_SPARSE_K neighbours.
 DENSE_NODE_LIMIT = 2000
 DEFAULT_SPARSE_K = 50
 
@@ -106,8 +108,10 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
 
     A_ij = max(0, cos(x_i, x_j))^gamma off the diagonal. Each node keeps
     its k largest affinities (ties broken toward lower column index), then
-    A is symmetrized entrywise as max(A_ij, A_ji). k=None keeps every
-    positive affinity (the dense graph) through the same blocked loop.
+    A is symmetrized entrywise as max(A_ij, A_ji). k=None follows
+    auto_k(N): every positive affinity (the dense graph, through the same
+    blocked loop) up to DENSE_NODE_LIMIT samples, DEFAULT_SPARSE_K
+    neighbours above it, where the dense graph is k = N - 1.
     Raises ConfigError unless gamma > 0 and k is None or 1 <= k < N, and
     when gamma underflows a kept affinity to zero.
     """
@@ -116,7 +120,9 @@ def build_affinity(X, gamma=DEFAULT_GAMMA, k=None):
         raise ConfigError(f"gamma must be positive, got {gamma}")
     if k is not None and not 1 <= k < n:
         raise ConfigError(f"k must satisfy 1 <= k < n_samples={n}, got {k}")
-    matrix = _topk_affinity(X, float(gamma), n - 1 if k is None else int(k))
+    if k is None:
+        k = auto_k(n) or n - 1  # auto_k's None is the dense graph
+    matrix = _topk_affinity(X, float(gamma), int(k))
     return AffinityGraph(n=n, matrix=matrix)
 
 

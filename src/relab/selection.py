@@ -114,7 +114,7 @@ def train_probe(X, labels, cfg, n_classes):
     rows = np.arange(n)
     # Each position's row offset in its batch's flat logits; adding
     # labels[order] gives every one-hot entry of an epoch at once.
-    slot = rows % cfg.batch_size * c
+    slot = rows % min(cfg.batch_size, n) * c  # values below N: no int64 overflow
     # np.dot writes the logits and the weight gradient here: the GEMMs
     # of @, without allocating their results.
     logits = np.empty((min(cfg.batch_size, n), c), dtype=np.float32)
@@ -173,8 +173,11 @@ def train_probe(X, labels, cfg, n_classes):
 
 
 def check_budget(seeds, n_r):
-    """The per-class target n_r / C. Raises ConfigError unless C divides n_r
-    and the target holds every class's seeds."""
+    """The per-class target n_r / C. Raises ConfigError unless n_r fits in
+    int64, as the reliable file's summary must, C divides n_r and the
+    target holds every class's seeds."""
+    if n_r > np.iinfo(np.int64).max:
+        raise ConfigError(f"n_r={n_r} exceeds the int64 range")
     c = seeds.n_classes
     if n_r % c != 0:
         raise ConfigError(f"n_r={n_r} is not divisible by n_classes={c}")

@@ -108,6 +108,7 @@ PIPELINE_REFUSALS = {
     "nr-indivisible": (["--nr", "41"], 2, "n_r=41 is not divisible by n_classes=4"),
     "nr-below-seeds": (["--nr", "8"], 2,
                        "n_r/C=2 is below the largest per-class seed count 3"),
+    "nr-beyond-int64": (["--nr", str(2**63)], 2, f"n_r={2**63} exceeds the int64 range"),
     "seed-index": (["seed index 5000"], 3, "seed index 5000 out of range for 120 samples"),
     "eps": (["--eps", "2"], 2, "eps must lie in (0, 1)"),
     "truth-length": (["short truth"], 3, "truth.json: 119 truth labels for 120 samples"),
@@ -690,7 +691,8 @@ class TestComposition:
     @pytest.mark.parametrize("nr, message", [
         ("41", "n_r=41 is not divisible by n_classes=4"),
         ("8", "n_r/C=2 is below the largest per-class seed count 3"),
-    ], ids=["indivisible", "below-seeds"])
+        (str(2**63), f"n_r={2**63} exceeds the int64 range"),
+    ], ids=["indivisible", "below-seeds", "beyond-int64"])
     def test_select_refuses_nr_before_reading_features(self, workspace, chained, tmp_path,
                                                        capsys, monkeypatch, nr, message):
         def unreachable(*_args, **_kwargs):

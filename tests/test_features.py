@@ -134,8 +134,8 @@ class TestWhitening:
         assert W.shape == (3, stats.kept)
 
     def test_dual_path_matches_covariance_eigenvalues(self, rng):
-        # D > N exercises the Gram-matrix route; its eigenvalues must agree
-        # with a direct eigendecomposition of the full D x D covariance.
+        # D > N: the kept eigenvalues must agree with numpy's own
+        # eigendecomposition of the full D x D covariance.
         X = rng.standard_normal((5, 20))
         W, stats = pca_whiten(X)
         cov = np.cov(X, rowvar=False)
@@ -182,12 +182,25 @@ class TestWhitening:
         assert stats.kept == pca_whiten(X)[1].kept == 29
         assert np.abs(W).max() < 3.0
 
+    @pytest.mark.parametrize("d", [11, 12, 30], ids=["D=N-1", "D=N", "D>N"])
+    def test_few_samples_whiten_to_a_regular_simplex(self, rng, d):
+        # N <= D + 1 centred rows span N - 1 directions; whitened, every
+        # pair of rows has cosine -1/(N - 1), so no graph edge survives.
+        n = 12
+        W, stats = pca_whiten(rng.standard_normal((n, d)))
+        assert stats.kept == W.shape[1] == n - 1
+        assert stats.basis.flags.f_contiguous or stats.basis.flags.c_contiguous
+        U = W / np.linalg.norm(W, axis=1, keepdims=True)
+        cos = (U @ U.T)[~np.eye(n, dtype=bool)]
+        np.testing.assert_allclose(cos, -1.0 / (n - 1), rtol=0, atol=1e-12)
+
     def test_apply_reproduces_training_output(self, rng):
         X = rng.standard_normal((25, 4))
         W, stats = pca_whiten(X)
         np.testing.assert_allclose(stats.apply(X), W, atol=1e-10)
 
-    # Covariance path, Gram (dual) path, and float32 input as load paths give.
+    # D < N, D > N (the id "gram" names the dual path that shape once took),
+    # and float32 input as load paths give.
     @pytest.mark.parametrize("shape, dtype", [((25, 4), np.float64), ((6, 10), np.float64),
                                               ((300, 16), np.float32)],
                              ids=["covariance", "gram", "float32"])

@@ -13,6 +13,8 @@ from relab.graph import (
     _BLOCK_ROWS,
     _GROUP_COLS,
     _MIN_POSITIVE,
+    DEFAULT_SPARSE_K,
+    DENSE_NODE_LIMIT,
     AffinityGraph,
     auto_k,
     build_affinity,
@@ -132,6 +134,13 @@ class TestBuildAffinity:
     def test_auto_k_thresholds(self):
         assert auto_k(2000) is None
         assert auto_k(2001) == 50
+
+    @pytest.mark.parametrize("n, k", [(DENSE_NODE_LIMIT, DENSE_NODE_LIMIT - 1),
+                                      (DENSE_NODE_LIMIT + 1, DEFAULT_SPARSE_K)],
+                             ids=["dense-at-limit", "top-k-above"])
+    def test_omitted_k_follows_auto_k(self, rng, n, k):
+        X = rng.standard_normal((n, 4))
+        assert_same_csr(build_affinity(X).matrix, build_affinity(X, k=k).matrix)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -300,8 +309,10 @@ class TestTopkMatchesOracle:
 
     @pytest.mark.parametrize("name", ["one_hot", "blocks_and_remainder"])
     def test_dense_equals_full_k(self, name):
+        # The dense graph is k = N - 1; an omitted k asks for it only up to
+        # DENSE_NODE_LIMIT samples (test_omitted_k_follows_auto_k).
         X = TOPK_INPUTS[name]()
-        assert_same_csr(build_affinity(X, gamma=3.0).matrix,
+        assert_same_csr(build_affinity(X, gamma=3.0, k=X.shape[0] - 1).matrix,
                         oracle_topk(X, 3.0, X.shape[0] - 1))
 
     def test_inputs_reach_the_tie_and_zero_paths(self):

@@ -198,6 +198,13 @@ class TestTrainProbe:
         assert averaged.dtype == np.float64
         assert averaged.tobytes() == (total / window).tobytes()
 
+    def test_batch_size_beyond_int64_is_one_batch(self):
+        # Any batch size of at least N trains on the whole set at once.
+        X, y = two_cluster_features(30, 6, gap=2.0)
+        runs = [train_probe(X, y, ProbeConfig(epochs=6, average_window=3, batch_size=size), 2)
+                for size in (60, 2**64)]
+        assert runs[1].tobytes() == runs[0].tobytes()
+
     def test_deterministic(self):
         X, y = two_cluster_features(20, 4, gap=3.0)
         cfg = ProbeConfig(epochs=12, average_window=6, rng_seed=5)
