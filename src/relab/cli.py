@@ -20,7 +20,6 @@ from .errors import ConfigError, RelabError
 from .features import DEFAULT_EPS
 from .graph import DEFAULT_GAMMA, DEFAULT_SPARSE_K, DENSE_NODE_LIMIT
 from .pipeline import (
-    _NR_DEFAULTS,
     METHODS,
     STRATEGIES,
     evaluate_step,
@@ -32,7 +31,7 @@ from .pipeline import (
     synth_step,
     whiten_step,
 )
-from .selection import ProbeConfig
+from .selection import NR_DEFAULTS, ProbeConfig
 from .synth import SynthConfig
 
 _PROBE_DEFAULTS = ProbeConfig()
@@ -120,7 +119,7 @@ _PROPAGATE_OPTIONS = _options(
                  show_default=True),
 )
 # "500 for 10 classes, 4000 for 100": the first size names its unit.
-_NR_SIZES = [f"{n_r} for {c}" for c, n_r in _NR_DEFAULTS.items()]
+_NR_SIZES = [f"{n_r} for {c}" for c, n_r in NR_DEFAULTS.items()]
 _NR_SIZES[0] += " classes"
 # Probe destinations are ProbeConfig's fields.
 _SELECT_OPTIONS = _options(
@@ -282,11 +281,8 @@ def main(argv=None):
     """Console entry point mapping failures to documented exit codes."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
+    except click.ClickException as exc:  # exit_code is 2 for every UsageError
         click.echo(f"error: {exc.format_message()}", err=True)
-        return 2
-    except click.ClickException as exc:
-        exc.show()
         return exc.exit_code
     except click.exceptions.Abort:
         return 130

@@ -337,7 +337,7 @@ def save_propagated(path, labels, retrieval_score, seeds):
         "index": np.arange(labels.size),
         "label": labels,
         "retrieval_score": np.asarray(retrieval_score, dtype=np.float64),
-    }, {"summary": True, "n_classes": seeds.n_classes})
+    }, {"n_classes": seeds.n_classes})
 
 
 def load_propagated(path):

@@ -210,7 +210,8 @@ def _json_texts(column):
 
 
 def save_summarized_jsonl(path, columns, summary):
-    """Write one JSON object per row of columns, then the summary record.
+    """Write one JSON object per row of columns, then the summary record
+    {"summary": true, **summary} that load_summarized_jsonl requires.
 
     columns maps each key, in record key order, to a 1-D column (ints,
     floats, str or bool); rows stop at the shortest. Each line is
@@ -227,7 +228,7 @@ def save_summarized_jsonl(path, columns, summary):
             texts = [_json_texts(column[start:start + _WRITE_ROWS])
                      for column in columns.values()]
             handle.write("".join(map(template.__mod__, zip(*texts))).encode("ascii"))
-        handle.write(json.dumps(summary).encode("ascii"))
+        handle.write(json.dumps({"summary": True, **summary}).encode("ascii"))
         handle.write(b"\n")
 
 

@@ -59,9 +59,6 @@ from .synth import SynthConfig, check_seeds_per_class, generate, pick_seeds
 METHODS = ("diffusion", "nn")
 STRATEGIES = ("small-loss", "retrieval-score")
 
-# n_r values used in the experiments for the two standard class counts.
-_NR_DEFAULTS = {10: 500, 100: 4000}
-
 WHITENED_NAME = "features_whitened.relf"
 GRAPH_NAME = "graph.relg"
 PROPAGATED_NAME = "propagated.jsonl"
@@ -69,26 +66,14 @@ RELIABLE_NAME = "reliable.jsonl"
 REPORT_NAME = "report.json"
 
 
-def resolve_nr(seeds, n_r):
-    """The reliable-set size for seeds: n_r, or for None the standard size
-    for the seeds' class count. Raises ConfigError when there is no
-    standard size or when check_budget refuses the size."""
-    if n_r is None:
-        n_r = _NR_DEFAULTS.get(seeds.n_classes)
-        if n_r is None:
-            raise ConfigError(
-                f"no default n_r for {seeds.n_classes} classes; pass --nr explicitly")
-    check_budget(seeds, n_r)
-    return n_r
-
-
 def load_config_file(path):
     """Parse a minimal key = value config file into a dict.
 
-    One assignment per line; '#' starts a comment; values are parsed as
-    JSON when possible (numbers, booleans, quoted strings) and kept as raw
-    strings otherwise. Keys have '-' normalized to '_' so they line up
-    with CLI flag names.
+    One assignment per line; '#' starts a comment. A value that is one
+    JSON value (a number, boolean, quoted string or list) followed only by
+    whitespace or a comment is that JSON value, '#' inside it included;
+    any other value is cut at its first '#' and kept as a raw string. Keys
+    have '-' normalized to '_' so they line up with CLI flag names.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -105,8 +90,13 @@ def load_config_file(path):
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        # The line's first '=' comes before its first '#', so the value with
+        # any '#' it holds is the raw line after that '='. When value parses
+        # as JSON, so does full, with nothing but a comment after it.
+        full = raw.partition("=")[2].strip()
         try:
-            values[key] = json.loads(value)
+            parsed, end = json.JSONDecoder().raw_decode(full)
+            values[key] = parsed if full[end:].lstrip()[:1] in ("", "#") else value
         except json.JSONDecodeError:
             values[key] = value
     return values
@@ -228,9 +218,10 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
 
     Features are L2-normalized before probe training (the probe sees the
     same geometry the affinity graph used); strategy "small-loss" needs
-    features_path and "retrieval-score" never reads it. n_r is resolved
-    and checked by resolve_nr before the features are read. The seeds
-    file must declare the propagated file's class count.
+    features_path and "retrieval-score" never reads it. check_budget
+    resolves n_r=None to the default size for the seeds' class count and
+    checks the size before the features are read. The seeds file must
+    declare the propagated file's class count.
     """
     _check_strategy(strategy, features_path is not None)
     seeds = load_seeds(seeds_path)
@@ -239,7 +230,7 @@ def select_step(features_path, propagated_path, seeds_path, out_path, n_r=None,
         raise DataError(f"{seeds_path}: n_classes={seeds.n_classes} differs from the "
                         f"{n_classes} of {propagated_path}")
     seeds.check_fits(labels.shape[0])
-    n_r = resolve_nr(seeds, n_r)
+    n_r = check_budget(seeds, n_r)
     unit = unit_rows(load_features(features_path)) if strategy == "small-loss" else None
     return _select(unit, labels, retrieval, seeds, out_path, n_r, strategy, probe)[0]
 
@@ -372,7 +363,7 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=DEFAUL
         check_probe_classes(seeds.label)
     if method == "diffusion":
         check_solver(alpha, tol, max_iter)
-    n_r = resolve_nr(seeds, n_r)
+    n_r = check_budget(seeds, n_r)
     if truth is not None:
         _check_truth(truth, n, seeds.n_classes, truth_path)
 

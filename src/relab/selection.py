@@ -21,6 +21,9 @@ from .fileio import load_summarized_jsonl, save_summarized_jsonl, typed, typed_c
 ORIGIN_SEED = "seed"
 ORIGIN_BOOTSTRAPPED = "bootstrapped"
 
+# n_r values used in the experiments for the two standard class counts.
+NR_DEFAULTS = {10: 500, 100: 4000}
+
 
 @dataclass
 class ProbeConfig:
@@ -173,12 +176,18 @@ def train_probe(X, labels, cfg, n_classes):
 
 
 def check_budget(seeds, n_r):
-    """The per-class target n_r / C. Raises ConfigError unless n_r fits in
-    int64, as the reliable file's summary must, C divides n_r and the
-    target holds every class's seeds."""
+    """The reliable-set size for seeds: n_r, or for None the size that
+    NR_DEFAULTS gives the seeds' class count C. Raises ConfigError when
+    NR_DEFAULTS has no size for C, and unless the size fits in int64, as
+    the reliable file's summary must, C divides it and the per-class
+    target n_r / C holds every class's seeds."""
+    c = seeds.n_classes
+    if n_r is None:
+        n_r = NR_DEFAULTS.get(c)
+        if n_r is None:
+            raise ConfigError(f"no default n_r for {c} classes; pass --nr explicitly")
     if n_r > np.iinfo(np.int64).max:
         raise ConfigError(f"n_r={n_r} exceeds the int64 range")
-    c = seeds.n_classes
     if n_r % c != 0:
         raise ConfigError(f"n_r={n_r} is not divisible by n_classes={c}")
     target = n_r // c
@@ -187,16 +196,16 @@ def check_budget(seeds, n_r):
         raise ConfigError(
             f"n_r/C={target} is below the largest per-class seed count {largest}"
         )
-    return target
+    return n_r
 
 
-def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
+def _select_balanced(labels, scores, seeds, n_r, score_kind):
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     n = labels.shape[0]
     seeds.check_fits(n)
     c = seeds.n_classes
-    target = check_budget(seeds, n_r)
+    target = check_budget(seeds, n_r) // c
 
     is_seed = np.zeros(n, dtype=bool)
     is_seed[seeds.index] = True
@@ -204,7 +213,7 @@ def _select_balanced(labels, scores, seeds, n_r, descending, score_kind):
     parts = []
     warnings = []
     per_class = np.zeros(c, dtype=np.int64)
-    key = -scores if descending else scores
+    key = -scores if score_kind == "retrieval_score" else scores
     for cls in range(c):
         seed_group = seeds.index[seeds.label == cls]
         slots = target - seed_group.size
@@ -240,7 +249,7 @@ def select_reliable(losses, labels, seeds, n_r):
     possible and recorded in warnings.
     """
     return _select_balanced(
-        labels, losses, seeds, n_r, descending=False, score_kind="avg_loss"
+        labels, losses, seeds, n_r, score_kind="avg_loss"
     )
 
 
@@ -251,7 +260,6 @@ def select_by_retrieval_score(labels, retrieval_score, seeds, n_r):
         retrieval_score,
         seeds,
         n_r,
-        descending=True,
         score_kind="retrieval_score",
     )
 
@@ -259,7 +267,6 @@ def select_by_retrieval_score(labels, retrieval_score, seeds, n_r):
 def save_reliable(path, rset):
     """Write a reliable set as JSON lines plus a trailing summary record."""
     summary = {
-        "summary": True,
         "score_kind": rset.score_kind,
         "target_per_class": rset.target_per_class,
         "per_class_count": rset.per_class_count.tolist(),

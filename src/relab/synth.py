@@ -47,6 +47,14 @@ class SynthConfig:
         return [self.per_class] * self.n_classes
 
 
+def _closest_pair_distance(points):
+    """The smallest Euclidean distance between two of the C >= 2 rows of
+    points, found one row at a time against the rows after it, so that
+    at most a (C - 1) x D difference array is alive."""
+    return min(np.linalg.norm(points[i + 1:] - points[i], axis=1).min()
+               for i in range(len(points) - 1))
+
+
 def generate(cfg):
     """Draw a labeled isotropic Gaussian mixture.
 
@@ -64,9 +72,7 @@ def generate(cfg):
         if np.any(norms < 1e-12):
             continue
         directions /= norms[:, None]
-        diffs = directions[:, None, :] - directions[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        min_dist = dist[~np.eye(c, dtype=bool)].min()
+        min_dist = _closest_pair_distance(directions)
         if min_dist > _MIN_DIRECTION_DIST:
             break
     else:

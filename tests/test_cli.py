@@ -23,14 +23,13 @@ from relab.features import save_features
 from relab.diffusion import diffuse, load_seeds
 from relab.graph import DENSE_NODE_LIMIT, load_graph, normalize
 from relab.pipeline import (
-    _NR_DEFAULTS,
     GRAPH_NAME,
     PROPAGATED_NAME,
     RELIABLE_NAME,
     REPORT_NAME,
     WHITENED_NAME,
 )
-from relab.selection import ProbeConfig
+from relab.selection import NR_DEFAULTS, ProbeConfig
 from relab.synth import SynthConfig
 
 
@@ -361,6 +360,21 @@ class TestExitCodes:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "propagate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("raised,code,err", [
+        (KeyboardInterrupt(), 130, "\n"),
+        (click.ClickException("boom"), 1, "error: boom\n"),
+    ])
+    def test_interrupt_and_click_error_exit_codes(self, monkeypatch, capsys, raised,
+                                                  code, err):
+        """Ctrl-C exits 130; a click error that is no usage error exits with
+        its own code and prints its message like every other error."""
+        def step(**_options):
+            raise raised
+
+        monkeypatch.setattr(relab.cli, "whiten_step", step)
+        assert main(["features", "whiten", "--in", "a", "--out", "b"]) == code
+        assert capsys.readouterr().err == err
 
 
 class TestOutputModes:
@@ -1305,8 +1319,8 @@ class TestCliParity:
         """--nr's help names each (C, n_r) pair of the default table."""
         assert main([command, "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert len(_NR_DEFAULTS) >= 2
-        for n_classes, n_r in _NR_DEFAULTS.items():
+        assert len(NR_DEFAULTS) >= 2
+        for n_classes, n_r in NR_DEFAULTS.items():
             assert re.search(rf"\b{n_r} for {n_classes}\b", text), (n_classes, n_r)
 
     @pytest.mark.parametrize("path", [

@@ -100,7 +100,7 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     columns = {"index": np.array([0, 1]), "label": np.array([3, 1]),
                "flag": np.array([False, True]), "origin": np.array(["seed", "x"])}
-    save_summarized_jsonl(path, columns, {"summary": True, "n": 2})
+    save_summarized_jsonl(path, columns, {"n": 2})
     records, summary = load_summarized_jsonl(path)
     assert records == [{"index": 0, "label": 3, "flag": False, "origin": "seed"},
                        {"index": 1, "label": 1, "flag": True, "origin": "x"}]

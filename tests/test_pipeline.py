@@ -23,11 +23,10 @@ from relab.pipeline import (
     REPORT_NAME,
     WHITENED_NAME,
     load_config_file,
-    resolve_nr,
     run_pipeline,
     synth_step,
 )
-from relab.selection import load_reliable
+from relab.selection import check_budget, load_reliable
 from relab.synth import SynthConfig
 
 from conftest import seeds_of
@@ -39,18 +38,18 @@ def one_seed_per_class(n_classes):
 
 class TestDefaultNr:
     def test_standard_sizes(self):
-        assert resolve_nr(one_seed_per_class(10), None) == 500
-        assert resolve_nr(one_seed_per_class(100), None) == 4000
+        assert check_budget(one_seed_per_class(10), None) == 500
+        assert check_budget(one_seed_per_class(100), None) == 4000
 
     def test_other_class_counts_need_explicit_nr(self):
         with pytest.raises(ConfigError) as excinfo:
-            resolve_nr(one_seed_per_class(7), None)
+            check_budget(one_seed_per_class(7), None)
         assert str(excinfo.value) == "no default n_r for 7 classes; pass --nr explicitly"
 
     def test_explicit_nr_is_checked_against_the_budget(self):
-        assert resolve_nr(one_seed_per_class(7), 14) == 14
+        assert check_budget(one_seed_per_class(7), 14) == 14
         with pytest.raises(ConfigError) as excinfo:
-            resolve_nr(one_seed_per_class(7), 15)
+            check_budget(one_seed_per_class(7), 15)
         assert str(excinfo.value) == "n_r=15 is not divisible by n_classes=7"
 
 
@@ -65,6 +64,8 @@ class TestConfigFile:
             "quiet = true\n"
             "\n"
             'out_dir = "run away"\n'
+            "path = /tmp/a#b\n"
+            'name = "a" b#c\n'
         )
         values = load_config_file(cfg)
         assert values == {
@@ -73,7 +74,14 @@ class TestConfigFile:
             "method": "diffusion",
             "quiet": True,
             "out_dir": "run away",
+            "path": "/tmp/a",
+            "name": '"a" b',
         }
+
+    def test_hash_inside_json_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "relab.cfg"
+        cfg.write_text('out-dir = "run#1"\nimbalance = ["x#y", 2]  # two\n')
+        assert load_config_file(cfg) == {"out_dir": "run#1", "imbalance": ["x#y", 2]}
 
     def test_missing_assignment_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

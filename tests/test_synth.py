@@ -6,7 +6,9 @@ from relab.errors import ConfigError, GenerationError
 from relab.features import pca_whiten
 from relab.graph import build_affinity, normalize
 from relab.metrics import noise_report
-from relab.synth import SynthConfig, generate, pick_seeds
+from relab.synth import SynthConfig, _closest_pair_distance, generate, pick_seeds
+
+from conftest import traced_peak
 
 
 class TestSynthConfig:
@@ -85,6 +87,22 @@ class TestGenerate:
         cfg = SynthConfig(n_classes=400, per_class=1, dims=2)
         with pytest.raises(GenerationError):
             generate(cfg)
+
+    def test_center_distance_memory_is_linear_in_classes(self):
+        # One (C - 1) x D row of differences at a time: the whole C x C x D
+        # difference tensor would be 164 MB here.
+        cfg = SynthConfig(n_classes=400, per_class=1, dims=128)
+        (X, _), peak = traced_peak(lambda: generate(cfg))
+        assert X.shape == (400, 128)
+        assert peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("c,d", [(2, 2), (3, 4), (10, 32), (100, 128), (57, 3)])
+    def test_closest_pair_matches_full_distance_matrix(self, c, d):
+        points = np.random.default_rng(c * d).standard_normal((c, d))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        diffs = points[:, None, :] - points[None, :, :]
+        full = np.linalg.norm(diffs, axis=2)[~np.eye(c, dtype=bool)].min()
+        assert _closest_pair_distance(points) == full
 
 
 class TestPickSeeds:
