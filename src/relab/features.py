@@ -37,11 +37,11 @@ class WhitenStats:
     kept: int
 
     def apply(self, X):
-        return ((np.asarray(X, dtype=np.float64) - self.mean) @ self.basis) * self.scale
+        return (np.subtract(X, self.mean, dtype=np.float64) @ self.basis) * self.scale
 
 
 def load_features(path):
-    """Read a RELF file into an N x D float64 matrix.
+    """Read a RELF file into the N x D float32 matrix as stored.
 
     Raises FormatError for a missing file, bad magic/version, or a payload
     whose length disagrees with the header, and DataError for non-finite
@@ -59,13 +59,13 @@ def load_features(path):
     if not np.all(np.isfinite(X)):
         bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         raise DataError(f"{path}: non-finite entry in row {bad}")
-    return X.astype(np.float64)
+    return X
 
 
 def stored_features(X):
-    """X as a RELF file stores it: a little-endian float32 array; widened
-    to float64 it is what load_features reads back. Raises DataError
-    unless X is 2-D, non-empty and finite in float32."""
+    """X as a RELF file stores it: a little-endian float32 array, which is
+    what load_features reads back. Raises DataError unless X is 2-D,
+    non-empty and finite in float32."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DataError(f"feature matrix must be 2-D and non-empty, got shape {X.shape}")
@@ -101,17 +101,20 @@ def pca_whiten(X, eps=DEFAULT_EPS):
     every shape, so D > N costs O(D^3) however small N is (5.6 s at
     N = 100, D = 4096 on a 2-vCPU VM), although such data keeps at most
     N - 1 directions and whitens to a regular simplex: every pairwise
-    cosine is -1/(N - 1). Raises ConfigError unless 0 < eps < 1, and
-    DataError naming the first row with a non-finite entry.
+    cosine is -1/(N - 1). X is read as given: the mean is accumulated
+    and the rows are centred in float64, so a float32 X gives the bits of
+    its float64 widening without a float64 copy of it. Raises ConfigError
+    unless 0 < eps < 1, and DataError naming the first row with a
+    non-finite entry.
     """
     if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     n, d = X.shape
     if n < 2:
         raise DegenerateInputError(f"whitening needs at least 2 samples, got {n}")
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, refused below
-        mean = X.mean(axis=0)
+        mean = X.mean(axis=0, dtype=np.float64)
     if not np.all(np.isfinite(mean)):
         # A non-finite entry makes its column's mean non-finite; only then
         # are the rows scanned, a chunk at a time, to name the first.
@@ -120,7 +123,7 @@ def pca_whiten(X, eps=DEFAULT_EPS):
             if bad.size:
                 raise DataError(f"row {start + int(bad[0])} has a non-finite entry; "
                                 "cannot whiten")
-    Xc = X - mean
+    Xc = np.subtract(X, mean, dtype=np.float64)
 
     eigvals, eigvecs = np.linalg.eigh((Xc.T @ Xc) / (n - 1))
     lam_max = float(eigvals[-1])
@@ -148,9 +151,10 @@ def pca_whiten(X, eps=DEFAULT_EPS):
 
 
 def _row_norms(X):
-    """The Euclidean norm of every row of the float64 matrix X, computed
-    _CHUNK_ROWS rows at a time: the bits of np.linalg.norm(X, axis=1)
-    without its N x D scratch.
+    """The Euclidean norm of every row of X, computed _CHUNK_ROWS rows at a
+    time, each chunk widened to float64: the bits of
+    np.linalg.norm(X.astype(np.float64), axis=1) without its N x D copy
+    and scratch.
 
     Raises DataError naming the first row whose norm is not finite (a NaN
     or infinite entry, or an overflowing sum of squares), and
@@ -158,7 +162,8 @@ def _row_norms(X):
     """
     norms = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _CHUNK_ROWS):
-        norms[start:start + _CHUNK_ROWS] = np.linalg.norm(X[start:start + _CHUNK_ROWS], axis=1)
+        chunk = np.asarray(X[start:start + _CHUNK_ROWS], dtype=np.float64)
+        norms[start:start + _CHUNK_ROWS] = np.linalg.norm(chunk, axis=1)
     bad = ~np.isfinite(norms)
     if np.any(bad):
         raise DataError(f"row {int(np.flatnonzero(bad)[0])} has a non-finite norm; "
@@ -172,9 +177,10 @@ def _row_norms(X):
 
 
 def l2_normalize(X):
-    """Scale every row to unit Euclidean norm; raises as _row_norms does."""
-    X = np.asarray(X, dtype=np.float64)
-    return X / _row_norms(X)[:, None]
+    """Scale every row to unit Euclidean norm, in float64 whatever X's
+    dtype; raises as _row_norms does."""
+    X = np.asarray(X)
+    return np.divide(X, _row_norms(X)[:, None], dtype=np.float64)
 
 
 def unit_rows(X):
@@ -182,11 +188,11 @@ def unit_rows(X):
     for bit, filled _CHUNK_ROWS rows at a time, so that no N x D float64
     scratch is allocated beside X. Every row's norm is checked first, with
     l2_normalize's refusals."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     norms = _row_norms(X)
     out = np.empty(X.shape, dtype=np.float32)
     for start in range(0, X.shape[0], _CHUNK_ROWS):
         stop = start + _CHUNK_ROWS
         # A float64 division rounded to float32 on output, as astype rounds.
-        np.divide(X[start:stop], norms[start:stop, None], out=out[start:stop])
+        np.divide(X[start:stop], norms[start:stop, None], out=out[start:stop], dtype=np.float64)
     return out

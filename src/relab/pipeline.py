@@ -110,8 +110,8 @@ def whiten_step(in_path, out_path, eps=DEFAULT_EPS):
 
 def _whiten(X, out_path, eps):
     """Whiten X; returns (summary of writing it to out_path, the float32
-    array save_features writes there; widened to float64, it is what
-    load_features reads back)."""
+    array save_features writes there, which is what load_features reads
+    back)."""
     whitened, stats = pca_whiten(X, eps=eps)
     return {
         "step": "whiten",
@@ -371,11 +371,8 @@ def run_pipeline(features_path, seeds_path, out_dir, truth_path=None, eps=DEFAUL
         return os.path.join(out_dir, name)
 
     # Between steps at most one feature matrix and one graph are alive: each
-    # rebinding or del below drops a value no later step reads. The file is
-    # written from the widened copy, which rounds back to the same bytes, so
-    # no float32 copy is alive during the graph build.
+    # rebinding or del below drops a value no later step reads.
     summary, X = _whiten(X, path(WHITENED_NAME), eps)
-    X = X.astype(np.float64)
     steps = [summary]
     source = X
     if method == "diffusion":

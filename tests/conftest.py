@@ -29,6 +29,11 @@ def seeds_of(assignments, n_classes):
     return SeedLabels(index=list(pairs), label=list(pairs.values()), n_classes=n_classes)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def traced_peak(function):
     """(function(), the tracemalloc peak in bytes while it ran)."""
     tracemalloc.start()

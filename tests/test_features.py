@@ -17,7 +17,7 @@ from relab.features import (
 )
 from relab.synth import SynthConfig, generate
 
-from conftest import traced_peak
+from conftest import same_bits, traced_peak
 
 HEADER = struct.Struct("<4sIQQ")
 
@@ -34,7 +34,7 @@ class TestFeatureIO:
         X = load_features(path)
         assert X.shape == (2, 3)
         assert np.array_equal(X, [[1, 0, 0], [0, 1, 0]])
-        assert X.dtype == np.float64
+        assert X.dtype == np.float32
 
     def test_payload_length_mismatch(self, tmp_path):
         path = tmp_path / "f.relf"
@@ -286,3 +286,57 @@ class TestUnitRows:
         unit, peak = traced_peak(lambda: unit_rows(X))
         assert unit.dtype == np.float32
         assert peak < 7 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestFloat32Input:
+    """Features stay float32, as load_features returns them; each
+    computation widens what it reads, so float32 input gives the bits of
+    its float64 widening."""
+
+    # The knn-c10 benchmark shape (more than two _CHUNK_ROWS chunks) and the README's.
+    @pytest.mark.parametrize("per_class, dims", [(1000, 128), (100, 32)],
+                             ids=["knn-c10", "readme"])
+    def test_bits_of_the_float64_widening(self, per_class, dims):
+        X, _ = generate(SynthConfig(per_class=per_class, dims=dims, separation=6.0))
+        X32 = X.astype(np.float32)
+        X64 = X32.astype(np.float64)
+        # The float64 mean of a float32 array equals the mean of its widened
+        # copy only while numpy sums axis 0 in the same order for both.
+        (W32, stats32), (W64, stats64) = pca_whiten(X32), pca_whiten(X64)
+        assert same_bits(W32, W64)
+        for field in ("mean", "basis", "scale", "kept"):
+            assert same_bits(getattr(stats32, field), getattr(stats64, field)), field
+        assert same_bits(stats32.apply(X32), stats64.apply(X64))
+        # float32 sums this row's squares to inf; float64 does not.
+        X32[7] = 1e20
+        X64 = X32.astype(np.float64)
+        assert same_bits(unit_rows(X32), unit_rows(X64))
+        unit = l2_normalize(X32)
+        assert same_bits(unit, l2_normalize(X64))
+        assert unit.dtype == np.float64 and np.all(np.isfinite(unit))
+
+    # Any other dtype is computed in float64 too: eigh cannot take a
+    # longdouble matrix, and l2_normalize returns float64.
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.longdouble])
+    def test_other_dtypes_give_the_bits_of_the_float64_widening(self, rng, dtype):
+        X = (10 * rng.standard_normal((40, 5))).astype(dtype)
+        X64 = X.astype(np.float64)
+        (W, stats), (W64, stats64) = pca_whiten(X), pca_whiten(X64)
+        assert same_bits(W, W64) and same_bits(stats.apply(X), stats64.apply(X64))
+        assert same_bits(l2_normalize(X), l2_normalize(X64))
+        assert same_bits(unit_rows(X), unit_rows(X64))
+
+    # Traced peaks in units of the N x D float64 matrix: unit_rows' float32
+    # result (0.5), l2_normalize's float64 result (1), pca_whiten's centred
+    # and whitened matrices (2), and load_features' array and finiteness
+    # mask (0.625), each beside one chunk's scratch. A float64 copy of the
+    # input would add 1 to each.
+    @pytest.mark.parametrize("name, bound", [("unit_rows", 0.56), ("l2_normalize", 1.05),
+                                             ("pca_whiten", 2.05), ("load_features", 0.65)])
+    def test_traced_peak_without_a_float64_copy(self, tmp_path, rng, name, bound):
+        X = rng.standard_normal((20_000, 64)).astype(np.float32)
+        path = tmp_path / "f.relf"
+        save_features(path, X)
+        function = getattr(features_module, name)
+        _, peak = traced_peak(lambda: function(path if name == "load_features" else X))
+        assert peak < bound * X.size * 8, f"traced peak {peak / (X.size * 8):.2f} x N x D x 8 B"

@@ -29,7 +29,7 @@ from relab.pipeline import (
 from relab.selection import check_budget, load_reliable
 from relab.synth import SynthConfig
 
-from conftest import seeds_of
+from conftest import same_bits, seeds_of
 
 
 def one_seed_per_class(n_classes):
@@ -179,11 +179,6 @@ def run_fixture(data, out, **options):
                         truth_path=str(data / "truth.json"), n_r=12, **options)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestInMemoryChain:
     @pytest.mark.parametrize("options", [{}, {"method": "nn"},
                                          {"strategy": "retrieval-score"}], ids=str)
@@ -204,24 +199,30 @@ class TestInMemoryChain:
         assert calls == {"load_features": [str(fixture_files / "features.relf")],
                          "load_seeds": [str(fixture_files / "seeds.json")]}
 
-    @pytest.mark.parametrize("strategy", ["small-loss", "retrieval-score"])
+    @pytest.mark.parametrize("strategy, method", [("small-loss", "diffusion"),
+                                                  ("retrieval-score", "diffusion"),
+                                                  ("small-loss", "nn")],
+                             ids=["small-loss", "retrieval-score", "nn"])
     def test_values_passed_on_equal_the_written_files(self, fixture_files, tmp_path,
-                                                      monkeypatch, strategy):
+                                                      monkeypatch, strategy, method):
         seen = {}
-        for name in ("build_affinity", "normalize", "train_probe",
+        for name in ("build_affinity", "normalize", "nn_propagate", "train_probe",
                      "select_by_retrieval_score", "compare_selection"):
             def spy(*args, _fn=getattr(relab.pipeline, name), _name=name, **kwargs):
                 seen[_name] = copy.deepcopy(args)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(relab.pipeline, name, spy)
         out = tmp_path / "run"
-        run_fixture(fixture_files, out, strategy=strategy)
+        run_fixture(fixture_files, out, strategy=strategy, method=method)
 
         whitened = load_features(out / WHITENED_NAME)
-        assert same_bits(seen["build_affinity"][0], whitened)
-        written, passed = load_graph(out / GRAPH_NAME).matrix, seen["normalize"][0].matrix
-        for name in ("indptr", "indices", "data"):
-            assert same_bits(getattr(passed, name), getattr(written, name)), name
+        if method == "nn":
+            assert same_bits(seen["nn_propagate"][0], whitened)
+        else:
+            assert same_bits(seen["build_affinity"][0], whitened)
+            written, passed = load_graph(out / GRAPH_NAME).matrix, seen["normalize"][0].matrix
+            for name in ("indptr", "indices", "data"):
+                assert same_bits(getattr(passed, name), getattr(written, name)), name
         labels, retrieval, _ = load_propagated(out / PROPAGATED_NAME)
         if strategy == "small-loss":
             unit, probe_labels = seen["train_probe"][:2]
